@@ -59,8 +59,11 @@ _BACKEND_IMPLS = {"seq": "simple-cpu", "thread": "mt-cpu", "proc": "proc-cpu"}
 
 
 def _workers_arg(value: str) -> int:
-    """Parse ``--workers``: an integer, or ``auto`` for the CPU count."""
+    """Parse ``--workers``: an integer, or ``auto`` for the CPUs this
+    process may run on (its affinity mask, not the host's core count)."""
     if value == "auto":
+        if hasattr(os, "sched_getaffinity"):
+            return len(os.sched_getaffinity(0))
         return os.cpu_count() or 1
     try:
         n = int(value)
@@ -133,13 +136,6 @@ def _cmd_stitch(args: argparse.Namespace) -> int:
     if args.wisdom and Path(args.wisdom).exists():
         n = cache.import_wisdom(Path(args.wisdom).read_text())
         print(f"imported {n} wisdom entries from {args.wisdom}")
-    tracer = metrics = None
-    if args.trace or args.metrics:
-        from repro.observe import MetricsRegistry, Tracer
-
-        metrics = MetricsRegistry()
-        if args.trace:
-            tracer = Tracer()
     # Quality gate (docs/ROBUSTNESS.md): enabled by --quality-gate or by
     # naming any of its knobs; off by default so positions stay
     # bit-identical to ungated runs.
@@ -157,11 +153,17 @@ def _cmd_stitch(args: argparse.Namespace) -> int:
         or args.coarse_scale is not None
         or args.coarse_conf_thresh is not None
     )
-    real_transforms = not args.complex_transforms
+    watchdog = None
+    if args.watchdog is not None:
+        from repro.recovery import WatchdogConfig
+
+        watchdog = WatchdogConfig(
+            item_deadline=args.watchdog, stall_timeout=args.stall_timeout
+        )
     stitcher = Stitcher(
         ccf_mode=CcfMode.PAPER4 if args.paper_faithful else CcfMode.EXTENDED,
         n_peaks=1 if args.paper_faithful else args.peaks,
-        real_transforms=real_transforms,
+        real_transforms=not args.complex_transforms,
         use_tile_stats=not args.no_tile_stats,
         use_workspace=not args.no_workspace,
         pad_to_smooth=args.pad,
@@ -178,113 +180,18 @@ def _cmd_stitch(args: argparse.Namespace) -> int:
         cache=cache,
         max_retries=args.max_retries,
         on_tile_error=args.on_tile_error,
-        trace=tracer if tracer is not None else False,
-        metrics=metrics if metrics is not None else False,
+        trace=args.trace is not None,
+        metrics=args.metrics,
         checkpoint=str(args.checkpoint) if args.checkpoint else None,
         resume="require" if args.resume else "auto",
+        workers=args.workers,
+        impl=None if args.impl == "stitcher" else args.impl,
+        fft_batch=args.fft_batch,
+        gpus=args.gpus,
+        watchdog=watchdog,
     )
-    watchdog = None
-    if args.watchdog is not None:
-        from repro.recovery import WatchdogConfig
-
-        watchdog = WatchdogConfig(
-            item_deadline=args.watchdog, stall_timeout=args.stall_timeout
-        )
     t0 = time.perf_counter()
-    if args.impl == "stitcher":
-        result = stitcher.stitch(dataset)
-    else:
-        # Run one of the Table II implementations for phase 1, then the
-        # standard phases 2-3.
-        from repro.core.global_opt import resolve_absolute_positions
-        from repro.core.stitcher import StitchResult
-        from repro.impls import ALL_IMPLEMENTATIONS
-
-        impl_kwargs = {}
-        if args.impl in ("mt-cpu", "pipelined-cpu"):
-            impl_kwargs["workers"] = args.workers
-            if args.impl == "pipelined-cpu":
-                impl_kwargs["fft_batch"] = args.fft_batch
-        elif args.impl == "proc-cpu":
-            impl_kwargs["workers"] = args.workers
-            impl_kwargs["fft_batch"] = args.fft_batch
-        elif args.impl == "pipelined-cpu-numa":
-            impl_kwargs["workers_per_socket"] = args.workers
-        elif args.impl == "pipelined-gpu":
-            impl_kwargs["devices"] = args.gpus
-        policy = stitcher._error_policy()
-        report = None
-        if policy is not None:
-            from repro.faults import FaultReport
-
-            report = FaultReport()
-        journal = stitcher.open_journal(dataset)
-        impl = ALL_IMPLEMENTATIONS[args.impl](
-            ccf_mode=stitcher.ccf_mode, n_peaks=stitcher.n_peaks,
-            real_transforms=real_transforms,
-            use_tile_stats=not args.no_tile_stats,
-            use_workspace=not args.no_workspace,
-            cache=cache, error_policy=policy, fault_report=report,
-            tracer=tracer, metrics=metrics, journal=journal,
-            watchdog=watchdog, coarse=stitcher.coarse, **impl_kwargs,
-        )
-        try:
-            run = impl.run(dataset)
-        finally:
-            # Close even on a crash/stall so the journaled pairs written
-            # so far stay durable for the next --resume.
-            if journal is not None:
-                journal.close()
-        if policy is not None and args.on_tile_error == "skip":
-            positions = resolve_absolute_positions(
-                run.displacements, method=args.positions,
-                on_disconnected="nominal",
-                nominal_step=stitcher._nominal_step(dataset),
-                quality=stitcher.quality,
-            )
-        else:
-            positions = resolve_absolute_positions(
-                run.displacements, method=args.positions,
-                quality=stitcher.quality,
-            )
-        stats = dict(run.stats)
-        if positions.quality_report is not None:
-            stats["quality_report"] = positions.quality_report
-            if metrics is not None:
-                metrics.counter("quality.pairs_gated").inc(
-                    positions.quality_report.get("gated_pairs", 0)
-                )
-                metrics.counter("quality.irls_iterations").inc(
-                    positions.quality_report.get("irls_iterations", 0)
-                )
-                metrics.counter("quality.residue_damped_edges").inc(
-                    positions.quality_report.get("residue_damped_edges", 0)
-                )
-        if report is not None:
-            for rc in positions.degraded_tiles():
-                report.record_degraded_tile(rc)
-            plan = getattr(dataset, "fault_plan", None)
-            if plan is not None:
-                report.injected = plan.summary()
-            stats["fault_report"] = report
-        if metrics is not None:
-            stats["metrics"] = metrics.snapshot()
-        if tracer is not None:
-            stats["tracer"] = tracer
-            # Virtual-GPU engine rows for the merged timeline (Fig. 7/9).
-            profilers = []
-            if getattr(impl, "last_device", None) is not None:
-                profilers.append(impl.last_device.profiler)
-            for dev in getattr(impl, "devices", None) or []:
-                profilers.append(dev.profiler)
-            if profilers:
-                stats["gpu_profilers"] = profilers
-        result = StitchResult(
-            dataset=dataset, displacements=run.displacements,
-            positions=positions, phase1_seconds=run.wall_seconds,
-            phase2_seconds=0.0, implementation=args.impl, stats=stats,
-            on_tile_error=args.on_tile_error,
-        )
+    result = stitcher.stitch(dataset)
     elapsed = time.perf_counter() - t0
     if args.wisdom:
         Path(args.wisdom).write_text(cache.export_wisdom())
@@ -314,7 +221,7 @@ def _cmd_stitch(args: argparse.Namespace) -> int:
     if args.fault_report:
         plan = getattr(dataset, "fault_plan", None)
         payload = {
-            "implementation": args.impl,
+            "implementation": result.implementation,
             "grid": [dataset.rows, dataset.cols],
             "elapsed_seconds": elapsed,
             "fault_report": report.to_dict() if report is not None else None,
@@ -557,18 +464,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     s.add_argument("--impl", choices=["stitcher", *sorted(_IMPLS)],
                    default="stitcher",
-                   help="phase-1 engine: the facade or a Table II implementation")
+                   help="phase-1 scheduler: the default (band processes, "
+                        "or the sequential reference at --workers 1) or a "
+                        "Table II implementation")
     s.add_argument("--backend", choices=sorted(_BACKEND_IMPLS),
                    default=None,
                    help="phase-1 parallelism shorthand: seq (simple-cpu), "
                         "thread (mt-cpu), proc (proc-cpu process workers)")
-    s.add_argument("--workers", type=_workers_arg, default=2,
+    s.add_argument("--workers", type=_workers_arg, default="auto",
                    metavar="N|auto",
-                   help="phase-1 workers (threads or processes, per "
-                        "--backend/--impl); 'auto' uses the CPU count")
+                   help="phase-1 workers (processes by default, threads "
+                        "per --backend/--impl); 1 runs the sequential "
+                        "reference; 'auto' (default) uses the CPU count")
     s.add_argument("--fft-batch", type=int, default=4, metavar="K",
                    help="batch K same-shape tiles per forward FFT in the "
-                        "proc-cpu / pipelined-cpu impls (1 disables batching)")
+                        "pipelined-cpu reader (1 disables batching)")
     s.add_argument("--compose-workers", type=_workers_arg, default=1,
                    metavar="N|auto",
                    help="phase-3 stripe workers for the output mosaic "

@@ -386,13 +386,6 @@ def compute_grid_displacements(
                             use_tile_stats=use_tile_stats,
                             stats=stats,
                         )
-                        if metrics is not None:
-                            name = (
-                                "coarse.hits"
-                                if r.provenance == "coarse"
-                                else "coarse.fallbacks"
-                            )
-                            metrics.counter(name).inc()
                     else:
                         r = pciam(
                             tiles[pair.first],

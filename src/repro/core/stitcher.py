@@ -202,11 +202,24 @@ class StitchResult:
 
 
 class Stitcher:
-    """Configurable three-phase stitcher (sequential reference execution).
+    """Configurable three-phase stitcher.
 
-    For the parallel implementations of Table II, see :mod:`repro.impls`;
-    they produce identical displacements and plug into the same phase 2/3.
+    Phase 1 runs on one scheduler; all yield the same displacements and
+    share phases 2 and 3.  ``workers=1`` runs the in-process sequential
+    reference (Simple-CPU); ``workers > 1`` runs the row-band processes of
+    :class:`~repro.impls.proc_cpu.ProcCpu` when the bands save more work
+    than the fork costs (:meth:`_band_count`).  ``impl`` names a
+    :mod:`repro.impls` scheduler instead (``fft_batch``, ``gpus`` and
+    ``watchdog`` configure it).
     """
+
+    #: Phase-1 cost model behind the fork decision, in tile pixels: a tile
+    #: costs its pixel count plus ``TILE_OVERHEAD_PX``, and starting the
+    #: band pool costs ``POOL_OVERHEAD_PX``.  Fitted on a 2-core x86 host
+    #: (about 82 ns per pixel, 0.9 ms per tile, 35 ms per pool); the runs
+    #: are in docs/PERFORMANCE.md.
+    TILE_OVERHEAD_PX = 11_000
+    POOL_OVERHEAD_PX = 320_000
 
     def __init__(
         self,
@@ -237,7 +250,24 @@ class Stitcher:
         checkpoint: str | None = None,
         resume: str = "auto",
         journal_fsync: bool = True,
+        workers: int = 1,
+        impl: str | None = None,
+        fft_batch: int = 4,
+        gpus: int = 1,
+        watchdog=None,
     ) -> None:
+        if workers < 1:
+            raise ValueError(f"need at least one worker, got {workers}")
+        if impl is not None:
+            from repro.impls import ALL_IMPLEMENTATIONS
+
+            if impl not in ALL_IMPLEMENTATIONS:
+                raise ValueError(f"unknown implementation {impl!r}")
+        self.workers = workers
+        self.impl = impl
+        self.fft_batch = fft_batch
+        self.gpus = gpus
+        self.watchdog = watchdog
         self.traversal = traversal
         self.ccf_mode = ccf_mode
         self.n_peaks = n_peaks
@@ -392,6 +422,54 @@ class Stitcher:
             resume=self.resume,
         )
 
+    def _band_count(self, dataset: TileDataset) -> int:
+        """Band workers for the default scheduler; 1 = stay in-process.
+
+        The band pool's critical path is one boundary row (Phase A) plus
+        its tallest band; the reference walks every row.  Fork only when
+        the rows saved cost more than starting the pool.
+        """
+        bands = min(self.workers, dataset.rows)
+        tallest = -(-dataset.rows // bands)
+        h, w = dataset.tile_shape
+        saved = ((dataset.rows - tallest - 1) * dataset.cols
+                 * (h * w + self.TILE_OVERHEAD_PX))
+        return bands if saved > self.POOL_OVERHEAD_PX else 1
+
+    def _implementation(self, dataset: TileDataset, error_policy,
+                        fault_report, journal):
+        """The phase-1 scheduler for ``dataset``; ``None`` = in-process
+        sequential reference."""
+        name, workers = self.impl, self.workers
+        if name is None:
+            workers = self._band_count(dataset)
+            if workers < 2:
+                return None
+            name = "proc-cpu"
+        # Imported here: the impls (multiprocessing included) stay out of
+        # ``import repro``.
+        from repro.impls import ALL_IMPLEMENTATIONS
+
+        kwargs = {
+            "simple-cpu": {"traversal": self.traversal},
+            "mt-cpu": {"workers": workers},
+            "proc-cpu": {"workers": workers},
+            "pipelined-cpu": {"workers": workers, "fft_batch": self.fft_batch},
+            "pipelined-cpu-numa": {"workers_per_socket": workers},
+            "pipelined-gpu": {"devices": self.gpus},
+        }.get(name, {})
+        return ALL_IMPLEMENTATIONS[name](
+            ccf_mode=self.ccf_mode, n_peaks=self.n_peaks,
+            fft_shape=self._fft_shape(dataset), cache=self.cache,
+            real_transforms=self.real_transforms,
+            use_tile_stats=self.use_tile_stats,
+            use_workspace=self.use_workspace,
+            error_policy=error_policy, fault_report=fault_report,
+            tracer=self.tracer, metrics=self.metrics, journal=journal,
+            watchdog=self.watchdog, coarse=self.coarse,
+            subpixel=self.subpixel, planning=self.planning, **kwargs,
+        )
+
     def compute_displacements(
         self,
         dataset: TileDataset,
@@ -399,8 +477,26 @@ class Stitcher:
         fault_report: FaultReport | None = None,
         journal: RunJournal | None = None,
     ) -> DisplacementResult:
+        """Phase 1 on the configured scheduler.
+
+        ``result.stats["implementation"]`` names the scheduler that ran.
+        """
+        impl = self._implementation(dataset, error_policy, fault_report,
+                                    journal)
+        if impl is not None:
+            run = impl.run(dataset)
+            disp = run.displacements
+            disp.stats = {**run.stats, "implementation": impl.name}
+            if self.tracer is not None:
+                # Virtual-GPU engine rows for the merged timeline (Fig. 7/9).
+                devices = [getattr(impl, "last_device", None),
+                           *(getattr(impl, "devices", None) or [])]
+                profilers = [d.profiler for d in devices if d is not None]
+                if profilers:
+                    disp.stats["gpu_profilers"] = profilers
+            return disp
         fft_shape = self._fft_shape(dataset)
-        return compute_grid_displacements(
+        disp = compute_grid_displacements(
             dataset.load,
             dataset.rows,
             dataset.cols,
@@ -421,6 +517,8 @@ class Stitcher:
             journal=journal,
             coarse=self.coarse,
         )
+        disp.stats["implementation"] = "simple-cpu"
+        return disp
 
     def stitch(self, dataset: TileDataset) -> StitchResult:
         """Run phases 1 and 2; phase 3 is on the result object.
@@ -452,27 +550,22 @@ class Stitcher:
                 journal.close()
             raise
         stats = dict(disp.stats)
+        implementation = stats.pop("implementation")
         if self.refine is not None:
             with tracer.span("refine", "stitcher"):
                 disp, rep = refine_displacements(disp, dataset.load, self.refine)
             stats["refined_pairs"] = rep.repaired
             stats["unrepairable_pairs"] = rep.unrepairable
         t1 = time.perf_counter()
+        degraded = {}
+        if policy is not None and self.on_tile_error == "skip":
+            degraded = {"on_disconnected": "nominal",
+                        "nominal_step": self._nominal_step(dataset)}
         with tracer.span("phase2:global-opt", "stitcher"):
-            if policy is not None and self.on_tile_error == "skip":
-                pos = resolve_absolute_positions(
-                    disp,
-                    method=self.position_method,
-                    subpixel=self.subpixel,
-                    on_disconnected="nominal",
-                    nominal_step=self._nominal_step(dataset),
-                    quality=self.quality,
-                )
-            else:
-                pos = resolve_absolute_positions(
-                    disp, method=self.position_method, subpixel=self.subpixel,
-                    quality=self.quality,
-                )
+            pos = resolve_absolute_positions(
+                disp, method=self.position_method, subpixel=self.subpixel,
+                quality=self.quality, **degraded,
+            )
         t2 = time.perf_counter()
         if journal is not None:
             # Phase 2 is deterministic and cheap relative to phase 1, so a
@@ -505,6 +598,13 @@ class Stitcher:
                 report.injected = plan.summary()
             stats["fault_report"] = report
         if self.metrics is not None:
+            if self.coarse is not None:
+                self.metrics.counter("coarse.hits").inc(
+                    stats.get("coarse_hits", 0)
+                )
+                self.metrics.counter("coarse.fallbacks").inc(
+                    stats.get("full_fallbacks", 0)
+                )
             self.metrics.histogram("stitch.phase1_seconds").observe(t1 - t0)
             self.metrics.histogram("stitch.phase2_seconds").observe(t2 - t1)
             stats["metrics"] = self.metrics.snapshot()
@@ -516,6 +616,7 @@ class Stitcher:
             positions=pos,
             phase1_seconds=t1 - t0,
             phase2_seconds=t2 - t1,
+            implementation=implementation,
             stats=stats,
             on_tile_error=self.on_tile_error,
         )

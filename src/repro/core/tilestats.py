@@ -83,30 +83,6 @@ class TileStats:
         # variance the table can produce (see _VAR_GUARD).
         self.sq_total = float(table[h, w].imag)
 
-    @classmethod
-    def from_parts(cls, pixels: np.ndarray, table: np.ndarray) -> "TileStats":
-        """Rebuild a ``TileStats`` around precomputed arrays (zero-copy).
-
-        Used by the process backend: a worker builds the stats once,
-        publishes ``pixels`` and ``_table`` into shared-memory slabs, and
-        peers wrap the slab views with this constructor instead of
-        recomputing the cumsums.  The arrays are adopted as-is (views
-        welcome); values must have been produced by ``__init__`` for the
-        numerical guarantees to hold.
-        """
-        self = cls.__new__(cls)
-        self.pixels = pixels
-        self.shape = pixels.shape
-        self._table = table
-        h, w = pixels.shape
-        self.sq_total = float(table[h, w].imag)
-        return self
-
-    @property
-    def table(self) -> np.ndarray:
-        """The padded complex summed-area table (for slab publication)."""
-        return self._table
-
     @property
     def nbytes(self) -> int:
         return self.pixels.nbytes + self._table.nbytes

@@ -270,6 +270,32 @@ class FaultPlan:
         self._attempts[key] = n + 1
         return n
 
+    def mark(self) -> tuple[dict, int]:
+        """Snapshot of the trigger state, for :meth:`changes_since`."""
+        with self._lock:
+            return dict(self._attempts), len(self.events)
+
+    def changes_since(self, mark: tuple[dict, int]) -> tuple[dict, list]:
+        """Attempt counters and events recorded after ``mark``.
+
+        A forked worker ships these back so the parent's copy of the plan
+        can :meth:`absorb` what the worker's reads consumed (attempt keys
+        hold fault ids, which a forked child shares with its parent).
+        """
+        attempts, n_events = mark
+        with self._lock:
+            changed = {
+                k: v for k, v in self._attempts.items() if attempts.get(k) != v
+            }
+            return changed, self.events[n_events:]
+
+    def absorb(self, changes: tuple[dict, list]) -> None:
+        """Fold a worker's :meth:`changes_since` into this plan."""
+        attempts, events = changes
+        with self._lock:
+            self._attempts.update(attempts)
+            self.events.extend(events)
+
     def summary(self) -> dict[str, int]:
         """Planned faults by kind (what *should* fire at least once)."""
         out: dict[str, int] = {}

@@ -14,9 +14,9 @@ from repro.core.coarse import (
     coarse_pciam,
     coarse_transform_shape,
 )
-from repro.core.displacement import DisplacementResult
+from repro.core.displacement import DisplacementResult, Translation
 from repro.core.pciam import CcfMode, forward_fft, pciam
-from repro.fftlib.plans import PlanCache
+from repro.fftlib.plans import PlanCache, PlanningMode
 from repro.io.dataset import TileDataset
 from repro.memmodel.workspace import WorkspaceArena
 from repro.observe.tracer import NULL_TRACER
@@ -52,6 +52,9 @@ class Implementation(abc.ABC):
     """
 
     name: str = "base"
+    #: Whether pairs can carry sub-pixel estimates; the virtual-GPU
+    #: implementations resolve peaks on their own path and cannot.
+    supports_subpixel: bool = True
 
     def __init__(
         self,
@@ -69,7 +72,11 @@ class Implementation(abc.ABC):
         journal=None,
         watchdog=None,
         coarse: CoarseConfig | None = None,
+        subpixel: bool = False,
+        planning: PlanningMode = PlanningMode.ESTIMATE,
     ) -> None:
+        if subpixel and not self.supports_subpixel:
+            raise ValueError(f"{self.name} does not support subpixel=True")
         self.ccf_mode = ccf_mode
         self.n_peaks = n_peaks
         self.fft_shape = fft_shape
@@ -109,6 +116,8 @@ class Implementation(abc.ABC):
         #: default) keeps every implementation byte-identical to the
         #: single-pass full-resolution path.
         self.coarse = coarse
+        self.subpixel = subpixel
+        self.planning = planning
 
     @abc.abstractmethod
     def _run(self, dataset: TileDataset) -> tuple[DisplacementResult, dict]:
@@ -154,10 +163,10 @@ class Implementation(abc.ABC):
         if self.coarse is not None:
             return coarse_forward_fft(
                 tile, self.coarse.factor, self.fft_shape, cache,
-                real=self.real_transforms, stats=stats,
+                self.planning, real=self.real_transforms, stats=stats,
             )
         return forward_fft(
-            tile, self.fft_shape, cache,
+            tile, self.fft_shape, cache, self.planning,
             real=self.real_transforms, stats=stats,
         )
 
@@ -182,7 +191,9 @@ class Implementation(abc.ABC):
                 ccf_mode=self.ccf_mode,
                 n_peaks=self.n_peaks,
                 real_transforms=self.real_transforms,
+                subpixel=self.subpixel,
                 cache=cache,
+                planning=self.planning,
                 stats_i=stats_i, stats_j=stats_j,
                 workspace=workspace,
                 use_tile_stats=self.use_tile_stats,
@@ -195,11 +206,17 @@ class Implementation(abc.ABC):
             ccf_mode=self.ccf_mode,
             n_peaks=self.n_peaks,
             real_transforms=self.real_transforms,
+            subpixel=self.subpixel,
             cache=cache,
+            planning=self.planning,
             stats_i=stats_i, stats_j=stats_j,
             workspace=workspace,
             use_tile_stats=self.use_tile_stats,
         )
+
+    def _translation(self, res) -> Translation:
+        """The stored translation for one registration result."""
+        return Translation.from_pciam(res, subpixel=self.subpixel)
 
     @property
     def _skip_on_error(self) -> bool:

@@ -22,7 +22,7 @@ same answers); only the cost structure differs.
 
 from __future__ import annotations
 
-from repro.core.displacement import DisplacementResult, Translation
+from repro.core.displacement import DisplacementResult
 from repro.grid.neighbors import grid_pairs
 from repro.grid.tile_grid import TileGrid
 from repro.impls.base import Implementation
@@ -79,7 +79,7 @@ class FijiBaseline(Implementation):
                 r = self._register_pair(img_i, img_j, stats=stats)
                 stats["ffts"] += 2
                 stats["pairs"] += 1
-                t = Translation.from_pciam(r)
+                t = self._translation(r)
                 disp.set(pair.direction, pair.second.row, pair.second.col, t)
                 self._journal_record(
                     pair.direction, pair.second.row, pair.second.col, t

@@ -30,7 +30,7 @@ import threading
 
 import numpy as np
 
-from repro.core.displacement import DisplacementResult, Translation
+from repro.core.displacement import DisplacementResult
 from repro.core.tilestats import TileStats
 from repro.grid.neighbors import Direction
 from repro.impls.base import Implementation
@@ -268,7 +268,7 @@ class MtCpu(Implementation):
             stats_i=stats_i, stats_j=stats_j,
             workspace=workspace, stats=local,
         )
-        t = Translation.from_pciam(res)
+        t = self._translation(res)
         disp.set(direction, r, c, t)
         self._journal_record(direction, r, c, t)
         local["pairs"] += 1

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.displacement import DisplacementResult, Translation
+from repro.core.displacement import DisplacementResult
 from repro.core.downsample import downsample
 from repro.core.pciam import forward_fft, forward_fft_batch
 from repro.core.tilestats import TileStats
@@ -276,7 +276,7 @@ class PipelinedCpu(Implementation):
                     else [t.pixels for t in take]
                 )
                 ffts = forward_fft_batch(
-                    batch_inputs, pair_shape, self.cache,
+                    batch_inputs, pair_shape, self.cache, self.planning,
                     real=self.real_transforms, stats=local,
                 )
                 for t_item, slot, fft in zip(take, acquired, ffts):
@@ -322,7 +322,7 @@ class PipelinedCpu(Implementation):
                 buf[...] = forward_fft(
                     downsample(item.pixels, self.coarse.factor)
                     if self.coarse is not None else item.pixels,
-                    pair_shape, self.cache,
+                    pair_shape, self.cache, self.planning,
                     real=self.real_transforms, stats=local,
                 )
                 ts = TileStats(item.pixels) if self.use_tile_stats else None
@@ -367,7 +367,7 @@ class PipelinedCpu(Implementation):
                     workspace=workspaces.get() if workspaces is not None else None,
                     stats=local_pair,
                 )
-                t = Translation.from_pciam(res)
+                t = self._translation(res)
                 disp.set(pair.direction, pair.second.row, pair.second.col, t)
                 self._journal_record(
                     pair.direction, pair.second.row, pair.second.col, t

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.displacement import DisplacementResult, Translation
+from repro.core.displacement import DisplacementResult
 from repro.core.tilestats import TileStats
 from repro.fftlib.plans import spectrum_shape
 from repro.grid.neighbors import Pair, grid_pairs
@@ -258,7 +258,7 @@ class PipelinedCpuNuma(Implementation):
                     workspace=workspaces.get() if workspaces is not None else None,
                     stats=local_pair,
                 )
-                t = Translation.from_pciam(res)
+                t = self._translation(res)
                 disp.set(pair.direction, pair.second.row, pair.second.col, t)
                 self._journal_record(
                     pair.direction, pair.second.row, pair.second.col, t

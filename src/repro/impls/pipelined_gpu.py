@@ -113,6 +113,7 @@ class PipelinedGpu(Implementation):
     """Multi-GPU pipelined implementation (49.7 s / 26.6 s in the paper)."""
 
     name = "pipelined-gpu"
+    supports_subpixel = False
 
     def __init__(
         self,

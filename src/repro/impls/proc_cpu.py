@@ -9,23 +9,26 @@ instead of serializing on the GIL.  The pieces that make that practical:
   from the parent after the run context (dataset handle, configuration,
   shared slabs) is staged in a module global, so they inherit everything
   by address; only the small per-band result records travel back through
-  the executor.  Cross-band products move through a
-  :class:`~repro.memmodel.shm.ShmArena` whose slabs are ``MAP_SHARED``,
-  visible to every process.
+  the executor.  Cross-band products live in anonymous ``MAP_SHARED``
+  mappings made before the fork: visible to every process, with no name
+  to leak and no ``/dev/shm`` size cap (a tmpfs segment past that cap
+  would SIGBUS the worker that writes it).
 
 - **two-phase boundary exchange.**  The north pairs joining band ``k`` to
-  band ``k-1`` need the boundary row's tiles/spectra/statistics in *both*
-  bands.  Phase A loads each interior boundary row exactly once and
-  publishes tile + forward spectrum + summed-area table into the arena;
-  Phase B band workers consume the slab views from both sides.  Every
-  tile in the grid is therefore read and transformed exactly once --
+  band ``k-1`` need the boundary row's tiles and spectra in *both* bands.
+  Phase A loads each interior boundary row exactly once and publishes
+  tile + forward spectrum into the shared slabs; Phase B band workers
+  consume the slab views from both sides.  Every tile in the grid is
+  therefore read and transformed exactly once --
   ``duplicated_boundary_reads`` is 0 by construction (MT-CPU's
   ``boundary_refts`` waste is the thing this removes).
 
-- **batched forward FFTs.**  Row tiles are transformed ``fft_batch`` at a
-  time through :func:`repro.core.pciam.forward_fft_batch` -- one backend
-  call per stack amortizes per-transform dispatch overhead; slices are
-  bit-identical to the per-tile transform.
+- **column-major band walk.**  Inside a band, tiles are visited column
+  by column, top to bottom, and a tile's products are freed as soon as
+  its east neighbour's pair is done -- the paper's Section IV.A
+  early-release argument applied per band.  A worker holds about band
+  height + 1 tiles' products (``stats["band_peak_live"]``), however wide
+  the grid is.
 
 - **deterministic merge.**  Each pair is owned by exactly one band;
   workers return their displacement records and the parent folds them in
@@ -36,16 +39,16 @@ instead of serializing on the GIL.  The pieces that make that practical:
   :class:`~repro.recovery.journal.JournalAppender` (``O_APPEND`` writes
   interleave atomically), so a SIGKILL of the whole process tree loses at
   most in-flight pairs, exactly like the threaded backends.  Resume reads
-  come from the fork-inherited journal state (read-only in workers).
+  come from the fork-inherited journal state; their hit counts are folded
+  into the parent's journal at merge time.
 
-Workers watch their parent's pid and ``os._exit`` when it changes
-(SIGKILL of the parent must not leave orphans holding slab mappings), and
-the arena unlinks its segments on normal exit *and* via the creator's
-``resource_tracker`` after a kill.
+Workers watch their parent's pid and ``os._exit`` when it changes, so a
+SIGKILL of the parent leaves no orphans holding slab mappings.
 """
 
 from __future__ import annotations
 
+import mmap
 import os
 import threading
 import time
@@ -56,17 +59,15 @@ import multiprocessing as mp
 
 import numpy as np
 
-from repro.core.displacement import DisplacementResult, Translation
-from repro.core.downsample import downsample
-from repro.core.pciam import forward_fft_batch
+from repro.core.displacement import DisplacementResult
 from repro.core.tilestats import TileStats
-from repro.fftlib.plans import TransformKind, spectrum_shape
+from repro.fftlib.plans import spectrum_shape
 from repro.grid.neighbors import Direction
 from repro.impls.base import Implementation
 from repro.impls.mt_cpu import row_bands
 from repro.io.dataset import TileDataset
-from repro.memmodel.shm import ShmArena
 from repro.observe.tracer import Tracer
+from repro.pipeline.graph import aggregate_failures
 from repro.pipeline.stage import run_with_retries
 from repro.recovery.journal import JournalAppender
 
@@ -92,12 +93,14 @@ class _RunCtx:
     #: (the last row of band ``b``); ``None`` when the grid has one band.
     tiles: np.ndarray | None
     spectra: np.ndarray | None
-    tables: np.ndarray | None
     #: ``(n_boundaries, cols)`` int8: 1 = products published, 0 = tile
     #: skipped (or Phase A not run -- never observed by Phase B).
     mask: np.ndarray | None
     journal_spec: tuple[str, bool] | None
     trace_enabled: bool
+    #: Tasks run in forked workers (not inline in the parent), so their
+    #: fault-plan triggers must travel back with the outcome.
+    pooled: bool
 
 
 @dataclass
@@ -111,8 +114,21 @@ class _TaskOutcome:
     skipped_pairs: list = field(default_factory=list)   # (direction, r, c, reason)
     retries: list = field(default_factory=list)         # (r, c, attempt, errmsg)
     stats: dict = field(default_factory=dict)
+    #: Band tasks: most tiles' products held at once.
+    peak_live: int | None = None
     spans: list = field(default_factory=list)
     tracer_t0: float = 0.0
+    #: ``FaultPlan.changes_since`` of the worker's copy of the plan.
+    fault_changes: tuple | None = None
+
+
+def _shared(slots: int, item_shape: tuple, dtype) -> np.ndarray:
+    """Zero-filled ``(slots, *item_shape)`` array in an anonymous
+    ``MAP_SHARED`` mapping, unmapped when the last view is dropped."""
+    dtype = np.dtype(dtype)
+    nbytes = slots * int(np.prod(item_shape)) * dtype.itemsize
+    return np.ndarray((slots, *item_shape), dtype=dtype,
+                      buffer=mmap.mmap(-1, max(1, nbytes)))
 
 
 def _watch_parent(ppid: int) -> None:  # pragma: no cover - daemon loop
@@ -125,30 +141,10 @@ def _watch_parent(ppid: int) -> None:  # pragma: no cover - daemon loop
 
 
 def _worker_init(ppid: int) -> None:
-    """Per-process setup: orphan watch + plan-cache warmup."""
+    """Per-process setup: a fresh journal appender and the orphan watch."""
     global _APPENDER
     _APPENDER = None
     threading.Thread(target=_watch_parent, args=(ppid,), daemon=True).start()
-    ctx = _CTX
-    if ctx is None:  # pragma: no cover - defensive
-        return
-    impl = ctx.impl
-    # Warm the forward/inverse plans once per worker so the first pair in
-    # every band pays no planning cost (the forked cache already holds
-    # plans the parent created, but a fresh parent cache arrives cold).
-    # Coarse mode warms the coarse shapes (the per-pair hot path) *and*
-    # the full-resolution shapes (the fallback path) -- the PlanCache is
-    # keyed on (kind, shape), so the two never collide.
-    shapes = [impl._transform_shape(ctx.dataset)]
-    if impl.coarse is not None:
-        shapes.insert(0, impl._pair_transform_shape(ctx.dataset))
-    for shape in shapes:
-        if impl.real_transforms:
-            impl.cache.plan(shape, TransformKind.R2C, allow_padding=False)
-            impl.cache.plan(shape, TransformKind.C2R, allow_padding=False)
-        else:
-            impl.cache.plan(shape, TransformKind.C2C_FORWARD, allow_padding=False)
-            impl.cache.plan(shape, TransformKind.C2C_INVERSE, allow_padding=False)
 
 
 def _journal_appender() -> JournalAppender | None:
@@ -160,27 +156,6 @@ def _journal_appender() -> JournalAppender | None:
         path, fsync = ctx.journal_spec
         _APPENDER = JournalAppender(path, fsync=fsync)
     return _APPENDER
-
-
-def _journal_lookup(impl, direction: Direction, r: int, c: int):
-    """Read-only resume lookup against the fork-inherited journal state.
-
-    Deliberately bypasses ``RunJournal.lookup``: its hit accounting would
-    land in the worker's copy and be lost.  Hits are counted in the
-    outcome and folded into the parent journal's counters at merge time.
-    """
-    journal = impl.journal
-    if journal is None:
-        return None
-    rec = journal.state.pairs.get((direction.value, int(r), int(c)))
-    if rec is None:
-        return None
-    return Translation(
-        correlation=rec["correlation"], tx=rec["tx"], ty=rec["ty"],
-        tx_f=rec["tx_f"], ty_f=rec["ty_f"],
-        peak_ratio=rec.get("peak_ratio"),
-        provenance=rec.get("provenance"),
-    )
 
 
 def _load_tile(impl, dataset, r: int, c: int, out: _TaskOutcome):
@@ -207,7 +182,8 @@ def _load_tile(impl, dataset, r: int, c: int, out: _TaskOutcome):
         return value
     except Exception as exc:
         if not impl._skip_on_error:
-            raise
+            # Same failure the sequential reference raises under a policy.
+            raise aggregate_failures("displacement", [("read", exc)]) from exc
         out.skipped_tiles.append((r, c, f"{type(exc).__name__}: {exc}"))
         ap = _journal_appender()
         if ap is not None:
@@ -215,160 +191,149 @@ def _load_tile(impl, dataset, r: int, c: int, out: _TaskOutcome):
         return None
 
 
-def _row_products(
-    impl, dataset, r: int, cols: int, out: _TaskOutcome, local: dict,
-    tracer, track: str,
-):
-    """Load + transform one grid row, ``fft_batch`` tiles per FFT call.
-
-    Returns ``[(tile, fft, stats) | None] * cols`` -- the per-tile entry
-    triple every band loop consumes.  Batch slices are bit-identical to
-    per-tile transforms, so batching never changes a displacement.
-    """
-    batch = max(1, impl.fft_batch)
-    entries: list[tuple | None] = [None] * cols
-    for c0 in range(0, cols, batch):
-        chunk = list(range(c0, min(c0 + batch, cols)))
-        with tracer.span("read", track, key=f"row{r}[{chunk[0]}:{chunk[-1] + 1}]"):
-            tiles = []
-            for c in chunk:
-                tile = _load_tile(impl, dataset, r, c, out)
-                tiles.append(tile)
-                if tile is not None:
-                    local["reads"] += 1
-        live = [(c, t) for c, t in zip(chunk, tiles) if t is not None]
-        if not live:
-            continue
-        with tracer.span("fft", track, key=f"row{r}x{len(live)}"):
-            if impl.coarse is not None:
-                # Batched *coarse* FFTs: downsample each tile, then one
-                # backend call transforms the whole stack at the coarse
-                # shape (slices stay bit-identical to per-tile
-                # coarse_forward_fft).
-                inputs = [
-                    downsample(t, impl.coarse.factor) for _, t in live
-                ]
-                batch_shape = (
-                    None if impl.fft_shape is None
-                    else impl._pair_transform_shape(dataset)
-                )
-            else:
-                inputs = [t for _, t in live]
-                batch_shape = impl.fft_shape
-            ffts = forward_fft_batch(
-                inputs, batch_shape, impl.cache,
-                real=impl.real_transforms, stats=local,
-            )
-            local["ffts"] += len(live)
-        for (c, tile), fft in zip(live, ffts):
-            ts = TileStats(tile) if impl.use_tile_stats else None
-            entries[c] = (tile, fft, ts)
-    return entries
-
-
-def _slab_entry(ctx: _RunCtx, b: int, c: int):
-    """Entry triple for boundary ``b``, column ``c`` from the shared slabs.
-
-    ``TileStats`` is rebuilt around zero-copy slab views: the summed-area
-    table is adopted as published, and the mean-shifted pixels recompute
-    from the shared raw tile exactly as the original constructor did, so
-    every downstream value is bit-identical.
-    """
-    if ctx.mask is None or not ctx.mask[b, c]:
-        return None
-    cols = ctx.dataset.cols
-    slot = b * cols + c
-    tile = ctx.tiles[slot]
-    fft = ctx.spectra[slot]
-    if ctx.impl.use_tile_stats:
-        ts = TileStats.from_parts(tile - tile.mean(), ctx.tables[slot])
-    else:
-        ts = None
-    return (tile, fft, ts)
-
-
-def _boundary_task(b: int) -> _TaskOutcome:
-    """Phase A: publish boundary row ``b`` (last row of band ``b``)."""
-    ctx = _CTX
-    impl, dataset = ctx.impl, ctx.dataset
+def _new_outcome(ctx: _RunCtx) -> tuple[_TaskOutcome, Tracer, tuple | None]:
+    """A task's outcome, tracer and fault-plan mark (pooled runs only)."""
     out = _TaskOutcome()
     tracer = Tracer(enabled=ctx.trace_enabled)
     out.tracer_t0 = tracer._t0
+    plan = getattr(ctx.dataset, "fault_plan", None)
+    mark = plan.mark() if ctx.pooled and plan is not None else None
+    return out, tracer, mark
+
+
+def _finish(ctx: _RunCtx, out: _TaskOutcome, tracer: Tracer, local: dict,
+            mark) -> _TaskOutcome:
+    out.stats = local
+    out.spans = tracer.spans
+    if mark is not None:
+        out.fault_changes = ctx.dataset.fault_plan.changes_since(mark)
+    return out
+
+
+def _tile_products(impl, dataset, r: int, c: int, out: _TaskOutcome,
+                   local: dict, tracer, track: str):
+    """Read + transform one tile: ``(tile, fft)``, or ``None``."""
+    key = f"({r},{c})"
+    with tracer.span("read", track, key=key):
+        tile = _load_tile(impl, dataset, r, c, out)
+    if tile is None:
+        return None
+    local["reads"] += 1
+    with tracer.span("fft", track, key=key):
+        fft = impl._forward_spectrum(tile, stats=local)
+    local["ffts"] += 1
+    return (tile, fft)
+
+
+def _slab_products(ctx: _RunCtx, b: int, c: int):
+    """Zero-copy ``(tile, fft)`` for boundary ``b``, column ``c``."""
+    if not ctx.mask[b, c]:
+        return None
+    slot = b * ctx.dataset.cols + c
+    return (ctx.tiles[slot], ctx.spectra[slot])
+
+
+def _with_stats(impl, products, tracer, track: str, key: str):
+    """The pair-ready ``(tile, fft, stats)`` entry, or ``None``.
+
+    Boundary tiles get their ``TileStats`` built in both bands that use
+    them: the summed-area table is twice the tile's size, so sharing it
+    would double the slabs to save a cumsum.
+    """
+    if products is None:
+        return None
+    ts = None
+    if impl.use_tile_stats:
+        with tracer.span("tilestats", track, key=key):
+            ts = TileStats(products[0])
+    return (*products, ts)
+
+
+def _boundary_task(b: int) -> _TaskOutcome:
+    """Phase A: publish boundary row ``b`` (last row of band ``b``).
+
+    Each tile's products are copied into the slabs as soon as they are
+    made, so the worker holds one tile's products at a time.
+    """
+    ctx = _CTX
+    impl, dataset = ctx.impl, ctx.dataset
+    out, tracer, mark = _new_outcome(ctx)
     track = f"proc-cpu/boundary-{b}"
     local = {"reads": 0, "ffts": 0}
     r = ctx.bands[b][1] - 1
-    cols = dataset.cols
-    entries = _row_products(impl, dataset, r, cols, out, local, tracer, track)
-    for c, entry in enumerate(entries):
-        if entry is None:
+    for c in range(dataset.cols):
+        products = _tile_products(
+            impl, dataset, r, c, out, local, tracer, track
+        )
+        if products is None:
             continue
-        tile, fft, ts = entry
-        slot = b * cols + c
+        tile, fft = products
+        slot = b * dataset.cols + c
         ctx.tiles[slot][: tile.shape[0], : tile.shape[1]] = tile
         ctx.spectra[slot] = fft
-        if ts is not None:
-            ctx.tables[slot] = ts.table
         ctx.mask[b, c] = 1
-    out.stats = local
-    out.spans = tracer.spans
-    return out
+    return _finish(ctx, out, tracer, local, mark)
 
 
 def _band_task(k: int) -> _TaskOutcome:
     """Phase B: all pairs owned by band ``k`` (rows ``[r0, r1)``).
 
-    Traversal and pair ownership match :class:`MtCpu` exactly -- west
-    pairs within rows ``>= r0``, north pairs down into the band -- except
-    that boundary rows (the row above, and this band's own last row when
-    it is interior) come from the Phase A slabs instead of fresh reads.
+    Pair ownership matches :class:`MtCpu` -- west pairs within rows
+    ``>= r0``, north pairs down into the band -- and boundary rows (the
+    row above, and this band's own last row when it is interior) come
+    from the Phase A slabs instead of fresh reads.  The walk is column
+    by column, top to bottom: tile ``(r, c)`` pairs with its west and
+    north neighbours as soon as it is loaded, and ``(r, c - 1)`` is
+    dropped right after, because its last pair (the east one) is done.
     """
     ctx = _CTX
     impl, dataset = ctx.impl, ctx.dataset
     r0, r1 = ctx.bands[k]
     cols = dataset.cols
-    out = _TaskOutcome()
-    tracer = Tracer(enabled=ctx.trace_enabled)
-    out.tracer_t0 = tracer._t0
+    out, tracer, mark = _new_outcome(ctx)
     track = f"proc-cpu/band-{k}"
     local = {"reads": 0, "ffts": 0, "pairs": 0}
-    n_bands = len(ctx.bands)
+    shared_last = k < len(ctx.bands) - 1
     workspace = None
     if impl.use_workspace:
         workspace = impl._make_arena(dataset, count=1).acquire()
 
-    prev_row: list[tuple | None] | None = None
-    start = r0 - 1 if r0 > 0 else r0
-    for r in range(start, r1):
-        if r == r0 - 1:
-            # Boundary row from the band above: published by Phase A.
-            cur_row = [_slab_entry(ctx, k - 1, c) for c in range(cols)]
-        elif r == r1 - 1 and k < n_bands - 1:
-            # This band's own last row is the next band's boundary row;
-            # Phase A already read + transformed it.
-            cur_row = [_slab_entry(ctx, k, c) for c in range(cols)]
-        else:
-            cur_row = _row_products(
-                impl, dataset, r, cols, out, local, tracer, track
-            )
-        if r >= r0:
-            for c in range(cols):
+    top = r0 - 1 if r0 > 0 else r0
+    live: dict[tuple[int, int], tuple | None] = {}
+    peak = 0
+    for c in range(cols):
+        for r in range(top, r1):
+            if r == r0 - 1:
+                # Boundary row from the band above: published by Phase A.
+                products = _slab_products(ctx, k - 1, c)
+            elif r == r1 - 1 and shared_last:
+                # This band's own last row is the next band's boundary
+                # row; Phase A already read + transformed it.
+                products = _slab_products(ctx, k, c)
+            else:
+                products = _tile_products(
+                    impl, dataset, r, c, out, local, tracer, track
+                )
+            entry = _with_stats(impl, products, tracer, track, f"({r},{c})")
+            live[(r, c)] = entry
+            peak = max(peak, len(live))
+            if r >= r0:
                 if c > 0:
                     _pair(impl, out, Direction.WEST, r, c,
-                          cur_row[c - 1], cur_row[c], local, workspace,
+                          live[(r, c - 1)], entry, local, workspace,
                           tracer, track)
-                if prev_row is not None:
+                if r > top:
                     _pair(impl, out, Direction.NORTH, r, c,
-                          prev_row[c], cur_row[c], local, workspace,
+                          live[(r - 1, c)], entry, local, workspace,
                           tracer, track)
-        prev_row = cur_row
-    out.stats = local
-    out.spans = tracer.spans
-    return out
+            live.pop((r, c - 1), None)
+    out.peak_live = peak
+    return _finish(ctx, out, tracer, local, mark)
 
 
 def _pair(impl, out: _TaskOutcome, direction: Direction, r: int, c: int,
           first, second, local: dict, workspace, tracer, track: str) -> None:
-    journaled = _journal_lookup(impl, direction, r, c)
+    journaled = impl._journal_lookup(direction, r, c)
     if journaled is not None:
         out.pairs.append((direction.value, r, c, journaled))
         out.resumed += 1
@@ -386,7 +351,7 @@ def _pair(impl, out: _TaskOutcome, direction: Direction, r: int, c: int,
             stats_i=stats_i, stats_j=stats_j,
             workspace=workspace, stats=local,
         )
-    t = Translation.from_pciam(res)
+    t = impl._translation(res)
     ap = _journal_appender()
     if ap is not None:
         ap.record_pair(direction.value, r, c, t)
@@ -397,22 +362,22 @@ def _pair(impl, out: _TaskOutcome, direction: Direction, r: int, c: int,
 class ProcCpu(Implementation):
     """SPMD row bands over a fork-based process pool.
 
-    ``workers`` caps the band count (like MT-CPU); ``fft_batch`` sets how
-    many row tiles share one batched forward transform (1 disables
-    batching).  Positions are bit-identical to ``simple-cpu`` in every
-    configuration.
+    ``workers`` caps the band count (like MT-CPU).  Positions are
+    bit-identical to ``simple-cpu`` in every configuration.
+    ``fft_batch`` is validated for signature compatibility with
+    :class:`~repro.impls.pipelined_cpu.PipelinedCpu` but has no effect:
+    every tile is transformed on its own, right before its first pair.
     """
 
     name = "proc-cpu"
 
-    def __init__(self, workers: int = 4, fft_batch: int = 4, **kw) -> None:
+    def __init__(self, workers: int = 4, fft_batch: int = 1, **kw) -> None:
         if workers < 1:
             raise ValueError(f"need at least one worker, got {workers}")
         if fft_batch < 1:
             raise ValueError(f"fft_batch must be >= 1, got {fft_batch}")
         super().__init__(**kw)
         self.workers = workers
-        self.fft_batch = fft_batch
 
     def _run(self, dataset: TileDataset) -> tuple[DisplacementResult, dict]:
         global _CTX, _APPENDER
@@ -427,41 +392,23 @@ class ProcCpu(Implementation):
         sshape = spectrum_shape(fshape) if self.real_transforms else fshape
         slots = n_boundaries * dataset.cols
 
-        arena = None
-        tiles = spectra = tables = mask = None
+        tiles = spectra = mask = None
         if n_boundaries:
-            if use_pool:
-                # MAP_SHARED slabs: Phase A writes in workers must be
-                # visible to every Phase B worker.
-                arena = ShmArena()
-                tiles = arena.slab("tiles", slots, tile_shape, np.float64).array
-                spectra = arena.slab("spectra", slots, sshape, np.complex128).array
-                if self.use_tile_stats:
-                    tables = arena.slab(
-                        "tables", slots,
-                        (tile_shape[0] + 1, tile_shape[1] + 1), np.complex128,
-                    ).array
-                mask = arena.slab(
-                    "mask", n_boundaries, (dataset.cols,), np.int8
-                ).array
-            else:  # pragma: no cover - non-fork platforms
-                tiles = np.zeros((slots, *tile_shape))
-                spectra = np.zeros((slots, *sshape), dtype=np.complex128)
-                if self.use_tile_stats:
-                    tables = np.zeros(
-                        (slots, tile_shape[0] + 1, tile_shape[1] + 1),
-                        dtype=np.complex128,
-                    )
-                mask = np.zeros((n_boundaries, dataset.cols), dtype=np.int8)
+            # Made before the fork, so Phase A writes in one worker are
+            # visible to every Phase B worker.
+            tiles = _shared(slots, tile_shape, np.float64)
+            spectra = _shared(slots, sshape, np.complex128)
+            mask = _shared(n_boundaries, (dataset.cols,), np.int8)
 
         _CTX = _RunCtx(
             impl=self, dataset=dataset, bands=bands,
-            tiles=tiles, spectra=spectra, tables=tables, mask=mask,
+            tiles=tiles, spectra=spectra, mask=mask,
             journal_spec=(
                 self.journal.appender_spec() if self.journal is not None
                 else None
             ),
             trace_enabled=self.tracer.enabled,
+            pooled=use_pool,
         )
         disp = DisplacementResult.empty(dataset.rows, dataset.cols)
         stats = {
@@ -476,7 +423,7 @@ class ProcCpu(Implementation):
                 outcomes = [
                     _boundary_task(b) for b in range(n_boundaries)
                 ] + [_band_task(k) for k in range(len(bands))]
-            self._merge(disp, stats, outcomes)
+            self._merge(dataset, disp, stats, outcomes)
         finally:
             _CTX = None
             if _APPENDER is not None:
@@ -484,8 +431,6 @@ class ProcCpu(Implementation):
                 # opened a worker-style appender; close it per run.
                 _APPENDER.close()
                 _APPENDER = None
-            if arena is not None:
-                arena.close()
         disp.stats = stats
         return disp, stats
 
@@ -508,7 +453,7 @@ class ProcCpu(Implementation):
                 outcomes.append(fut.result())
         return outcomes
 
-    def _merge(self, disp: DisplacementResult, stats: dict,
+    def _merge(self, dataset, disp: DisplacementResult, stats: dict,
                outcomes: list[_TaskOutcome]) -> None:
         """Fold worker outcomes into the parent-side result, in task order.
 
@@ -517,7 +462,13 @@ class ProcCpu(Implementation):
         (trace, fault report, journal accounting) deterministic too.
         """
         resumed = 0
+        plan = getattr(dataset, "fault_plan", None)
+        peaks = []
         for out in outcomes:
+            if out.fault_changes is not None:
+                plan.absorb(out.fault_changes)
+            if out.peak_live is not None:
+                peaks.append(out.peak_live)
             for d, r, c, t in out.pairs:
                 disp.set(Direction(d), r, c, t)
             resumed += out.resumed
@@ -540,10 +491,14 @@ class ProcCpu(Implementation):
             for key, v in out.stats.items():
                 stats[key] = stats.get(key, 0) + v
             self.tracer.absorb(out.spans, out.tracer_t0)
+        stats["band_peak_live"] = peaks
+        stats["peak_live_transforms"] = max(peaks, default=0)
         if resumed:
             stats["resumed_pairs"] = resumed
         if self.journal is not None:
-            self.journal.resumed_pairs += resumed
             self.journal.note_worker_pairs(stats.get("pairs", 0))
-            if self.metrics is not None and resumed:
-                self.metrics.counter("journal.pairs_resumed").inc(resumed)
+            if stats["process_workers"]:
+                # Forked lookups counted their hits in the workers' copies.
+                self.journal.resumed_pairs += resumed
+                if self.metrics is not None and resumed:
+                    self.metrics.counter("journal.pairs_resumed").inc(resumed)

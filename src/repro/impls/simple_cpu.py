@@ -35,7 +35,9 @@ class SimpleCpu(Implementation):
             ccf_mode=self.ccf_mode,
             n_peaks=self.n_peaks,
             real_transforms=self.real_transforms,
+            subpixel=self.subpixel,
             cache=self.cache,
+            planning=self.planning,
             error_policy=self.error_policy,
             fault_report=self.fault_report,
             tracer=self.tracer,

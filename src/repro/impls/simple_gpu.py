@@ -51,6 +51,7 @@ class SimpleGpu(Implementation):
     """Synchronous single-stream GPU port (9.3 min on the paper's machine)."""
 
     name = "simple-gpu"
+    supports_subpixel = False
 
     def __init__(
         self,

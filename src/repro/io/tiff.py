@@ -491,17 +491,17 @@ def write_tiff(
     rows_per_strip = min(rows_per_strip, height)
     n_strips = (height + rows_per_strip - 1) // rows_per_strip
 
-    raw = a.astype("<" + ("u1" if bits == 8 else "u2"), copy=False).tobytes()
-    strip_payloads: list[bytes] = []
-    for s in range(n_strips):
-        r0 = s * rows_per_strip
-        r1 = min(height, r0 + rows_per_strip)
-        payload = raw[r0 * bytes_per_row : r1 * bytes_per_row]
-        if comp_tag == COMPRESSION_PACKBITS:
-            payload = packbits_encode(payload)
-        strip_payloads.append(payload)
-    pixel_bytes = b"".join(strip_payloads)
-    strip_counts = [len(p) for p in strip_payloads]
+    # Uncompressed strips are the array's own bytes, written straight from
+    # its buffer below: no intermediate copy of the pixels is ever made.
+    pixels = np.ascontiguousarray(a, dtype="<" + ("u1" if bits == 8 else "u2"))
+    raw = memoryview(pixels).cast("B")
+    strips = [
+        raw[r0 * bytes_per_row : min(height, r0 + rows_per_strip) * bytes_per_row]
+        for r0 in range(0, height, rows_per_strip)
+    ]
+    if comp_tag == COMPRESSION_PACKBITS:
+        strips = [packbits_encode(bytes(strip)) for strip in strips]
+    strip_counts = [len(strip) for strip in strips]
 
     desc_bytes = description.encode("ascii", "replace") + b"\x00" if description else b""
 
@@ -592,7 +592,9 @@ def write_tiff(
             f"TIFF layout bug: header+IFD+overflow is {len(blob)} bytes, "
             f"expected {data_start}"
         )
-    Path(path).write_bytes(blob + pixel_bytes)
+    with open(path, "wb") as f:
+        f.write(blob)
+        f.write(raw if comp_tag == COMPRESSION_NONE else b"".join(strips))
 
 
 class TiffStripWriter:

@@ -97,6 +97,9 @@ def _build_stitcher(options: dict, plan_cache, checkpoint: str | None):
         checkpoint=checkpoint,
         resume="auto",
         metrics=True,
+        # The pool already keeps one warm worker per core: a job must not
+        # fork a second pool of band workers inside it.
+        workers=1,
     )
 
 
@@ -160,6 +163,7 @@ def _execute_job(msg: dict, warm: dict) -> dict:
         summary.update({
             "kind": "full",
             "pairs": int(result.stats.get("pairs", 0)),
+            "process_workers": int(result.stats.get("process_workers", 0)),
             "phase1_seconds": result.phase1_seconds,
             "phase2_seconds": result.phase2_seconds,
             "journal": result.stats.get("journal"),

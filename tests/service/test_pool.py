@@ -268,3 +268,20 @@ class TestDeadline:
             assert h.metrics.counter("service.jobs_deadline_killed").value >= 1
         finally:
             h.pool.stop()
+
+
+class TestSingleProcessJobs:
+    def test_job_stitcher_never_forks_band_workers(self):
+        from repro.service.pool import _build_stitcher
+
+        assert _build_stitcher({}, None, None).workers == 1
+
+    def test_job_reports_no_process_workers(self, harness, tmp_path):
+        # Four rows would give two band workers two rows each.
+        ds = make_synthetic_dataset(
+            tmp_path / "ds", rows=4, cols=3, tile_height=48, tile_width=48,
+            overlap=0.25, seed=3,
+        )
+        rec = harness.settle(harness.submit(dataset=str(ds.directory)))
+        assert rec.state is JobState.DONE
+        assert rec.result["process_workers"] == 0
