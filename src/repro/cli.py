@@ -101,7 +101,6 @@ def _cmd_stitch(args: argparse.Namespace) -> int:
     from repro.core.stitcher import Stitcher
     from repro.fftlib.plans import PlanCache, PlanningMode
     from repro.io.dataset import TileDataset
-    from repro.io.tiff import write_tiff
 
     if args.resume and not args.checkpoint:
         print("error: --resume requires --checkpoint DIR", file=sys.stderr)
@@ -231,52 +230,37 @@ def _cmd_stitch(args: argparse.Namespace) -> int:
         }
         _write_atomic(args.fault_report, json.dumps(payload, indent=2) + "\n")
         print(f"fault report JSON -> {args.fault_report}")
+    errors = result.position_errors(exclude_degraded=True)
+    if errors is not None:
+        print(f"position error vs ground truth: max {np.nanmax(errors):.1f} px")
+    if args.output:
+        # One compose engine: --memory-budget and --pyramid only bound the
+        # stripes' memory and add levels; the mosaic bytes are the same.
+        sres = result.compose_to_tiff(
+            args.output,
+            blend=BlendMode(args.blend),
+            memory_budget=args.memory_budget,
+            pyramid_levels=args.pyramid,
+            outline=args.outline,
+            metrics=stitcher.metrics,
+            tracer=stitcher.tracer,
+        )
+        msg = (f"mosaic {sres.height}x{sres.width} -> {args.output} "
+               f"(streamed, {sres.stripes} stripes of {sres.band_rows} "
+               f"rows, peak {sres.peak_bytes / 1e6:.1f} MB")
+        if args.memory_budget is not None:
+            msg += f" of {args.memory_budget / 1e6:.1f} MB budget"
+        if sres.pyramid_paths:
+            msg += f"; pyramid L1..L{len(sres.pyramid_paths)}"
+        print(msg + ")")
     if args.trace:
         n_events = result.write_trace(args.trace)
         print(f"trace: {n_events} events -> {args.trace} "
               f"(open in Perfetto / chrome://tracing)")
     if args.metrics:
+        result.stats["metrics"] = stitcher.metrics.snapshot()
         print("metrics:")
-        print(json.dumps(result.stats.get("metrics", {}), indent=2))
-    errors = result.position_errors(exclude_degraded=True)
-    if errors is not None:
-        print(f"position error vs ground truth: max {np.nanmax(errors):.1f} px")
-    if args.output:
-        if args.memory_budget is not None or args.pyramid > 0:
-            # Out-of-core path: the canvas never exists.  Values are
-            # clipped to uint16 rather than max-normalized (a global max
-            # would need a second pass over the mosaic).
-            if args.outline:
-                print("note: --outline is ignored with "
-                      "--memory-budget/--pyramid (streaming compose)")
-            sres = result.compose_to_tiff(
-                args.output,
-                blend=BlendMode(args.blend),
-                memory_budget=args.memory_budget,
-                pyramid_levels=args.pyramid,
-            )
-            msg = (f"mosaic {sres.height}x{sres.width} -> {args.output} "
-                   f"(streamed, {sres.stripes} stripes of {sres.band_rows} "
-                   f"rows, peak {sres.peak_bytes / 1e6:.1f} MB")
-            if args.memory_budget is not None:
-                msg += f" of {args.memory_budget / 1e6:.1f} MB budget"
-            if sres.pyramid_paths:
-                msg += f"; pyramid L1..L{len(sres.pyramid_paths)}"
-            print(msg + ")")
-        else:
-            mosaic = result.compose(
-                BlendMode(args.blend), outline=args.outline,
-                workers=args.compose_workers,
-            )
-            top = float(mosaic.max()) or 1.0
-            scaled = (np.clip(mosaic / top, 0, 1) * 65535).astype(np.uint16)
-            # Atomic publish: a crash mid-write must not leave a torn TIFF
-            # where a previous (complete) mosaic used to be.
-            out = Path(args.output)
-            tmp = out.with_name(out.name + ".tmp")
-            write_tiff(tmp, scaled, description="repro mosaic")
-            os.replace(tmp, out)
-            print(f"mosaic {mosaic.shape[0]}x{mosaic.shape[1]} -> {args.output}")
+        print(json.dumps(result.stats["metrics"], indent=2))
     if args.positions_json:
         _write_atomic(
             args.positions_json,
@@ -479,20 +463,14 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--fft-batch", type=int, default=4, metavar="K",
                    help="batch K same-shape tiles per forward FFT in the "
                         "pipelined-cpu reader (1 disables batching)")
-    s.add_argument("--compose-workers", type=_workers_arg, default=1,
-                   metavar="N|auto",
-                   help="phase-3 stripe workers for the output mosaic "
-                        "(bit-identical to sequential); 'auto' = CPU count")
     s.add_argument("--memory-budget", type=_bytes_arg, default=None,
                    metavar="BYTES",
-                   help="compose the output mosaic out-of-core under this "
-                        "hard budget (suffixes K/M/G): bounded stripes + LRU "
-                        "tile cache streamed to a TIFF/BigTIFF, bit-identical "
-                        "to the in-memory path")
+                   help="bound the output mosaic's compose memory by this "
+                        "hard budget (suffixes K/M/G): shorter stripes + an "
+                        "LRU tile cache, same mosaic bytes as without")
     s.add_argument("--pyramid", type=int, default=0, metavar="LEVELS",
                    help="also write LEVELS 2x block-mean pyramid files next "
-                        "to the output mosaic (streamed, never materialized); "
-                        "implies the streaming compose path")
+                        "to the output mosaic (streamed, never materialized)")
     s.add_argument("--gpus", type=int, default=1,
                    help="virtual GPUs for the pipelined-gpu impl")
     s.add_argument("--pattern", type=str, default=None,

@@ -1,151 +1,30 @@
-"""Phase 3: mosaic composition (Figs. 13-14).
+"""Phase 3, in memory: the whole mosaic as one array (Figs. 13-14).
 
-Renders tiles into the output canvas at their absolute positions.  Blend
-modes:
+:func:`compose` is a single full-canvas call of the blend kernel
+:func:`repro.core.streamcompose.blend_kernel` -- the same arithmetic the
+streamed writer runs per stripe -- so every :class:`BlendMode` is
+bit-identical between the two.  It materializes the canvas (float64
+while blending, then ``dtype``), which at the paper's 17k x 22k mosaic is
+~3 GB; :func:`repro.core.streamcompose.stream_compose_to_tiff` renders
+the same pixels to disk in bounded stripes instead.
 
-``OVERLAY``
-    Last write wins -- the mode used for the paper's Fig. 13 ("composed
-    using an overlay blend").
-``AVERAGE``
-    Mean of all tiles covering a pixel (needs a per-pixel weight pass).
-``MAXIMUM``
-    Per-pixel max; useful for fluorescence channels.
-``LINEAR``
-    Feathered blend: each tile contributes with a weight that ramps from
-    its borders toward its centre, hiding seams from residual registration
-    or illumination error.
-
-``outline`` reproduces Fig. 14's highlighted-tile rendering by brightening
-each tile's border pixels.
-
-Composition streams tiles one at a time (``load_tile`` callback) so the
-canvas is the only full-mosaic allocation -- the paper renders a
-17k x 22k image, which at float64 would be ~3 GB; the canvas dtype is
-therefore configurable and defaults to ``float32`` accumulation.
+``outline`` reproduces Fig. 14's highlighted-tile rendering by
+brightening each rendered tile's border pixels.
 """
 
 from __future__ import annotations
 
-import multiprocessing as mp
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from enum import Enum
-
 import numpy as np
 
 from repro.core.global_opt import GlobalPositions
+from repro.core.streamcompose import (
+    BlendMode,
+    blend_kernel,
+    draw_outlines,
+    painter_order,
+)
 
-
-class BlendMode(Enum):
-    OVERLAY = "overlay"
-    AVERAGE = "average"
-    MAXIMUM = "maximum"
-    LINEAR = "linear"
-
-
-#: Striped-composition context, staged by the parent before the worker
-#: processes fork and inherited by them by address (one live composition
-#: per process; callers are sequential).
-_COMPOSE_CTX: dict | None = None
-
-
-def _linear_weight(shape: tuple[int, int]) -> np.ndarray:
-    """Separable ramp weight, 1 at the tile centre, ~0 at the borders."""
-    h, w = shape
-    wy = 1.0 - np.abs(np.linspace(-1.0, 1.0, h))
-    wx = 1.0 - np.abs(np.linspace(-1.0, 1.0, w))
-    out = np.outer(wy, wx)
-    # Strictly positive so fully-covered pixels never divide by zero.
-    return np.maximum(out, 1e-6)
-
-
-def _stripe_bounds(height: int, n: int) -> list[tuple[int, int]]:
-    """Split ``height`` canvas rows into ``<= n`` contiguous stripes."""
-    n = max(1, min(n, height))
-    base, extra = divmod(height, n)
-    out, y0 = [], 0
-    for k in range(n):
-        y1 = y0 + base + (1 if k < extra else 0)
-        out.append((y0, y1))
-        y0 = y1
-    return out
-
-
-def _render_stripe(
-    y0: int,
-    y1: int,
-    canvas: np.ndarray,
-    weight: np.ndarray | None,
-    tiles: list[tuple[int, int, int, int]],
-    load_tile,
-    blend: BlendMode,
-    lin_w: np.ndarray | None,
-    tile_shape: tuple[int, int],
-    on_tile_error: str,
-) -> list[tuple[int, int]]:
-    """Render canvas rows ``[y0, y1)``; returns the tiles it touched.
-
-    ``canvas``/``weight`` are full-height arrays; only rows ``[y0, y1)``
-    are written.  Tiles are visited in row-major order and every per-pixel
-    operation is the row-restriction of the sequential one, so a stripe is
-    bit-identical to the same rows of a sequential render: the tiles
-    covering any given pixel are blended in the same order, and slicing an
-    elementwise product (LINEAR) commutes with computing it.  Stripes are
-    disjoint, so parallel stripe renders need no locks or atomics -- each
-    owns its rows of both the canvas and the weight accumulator.
-    """
-    th, tw = tile_shape
-    rendered: list[tuple[int, int]] = []
-    for r, c, ty, tx in tiles:
-        by0, by1 = max(ty, y0), min(ty + th, y1)
-        if by1 <= by0:
-            continue
-        try:
-            # Native dtype: the canvas is float64, and numpy's promotion
-            # rules make uint8/uint16 arithmetic in float64 value-exact,
-            # so skipping the explicit conversion avoids a 4x-sized
-            # float64 copy of every uint16 tile without changing a bit
-            # of the output.
-            tile = np.asarray(load_tile(r, c))
-        except Exception:
-            if on_tile_error == "skip":
-                continue
-            raise
-        if tile.shape != (th, tw):
-            raise ValueError(
-                f"tile ({r},{c}) has shape {tile.shape}, expected {(th, tw)}"
-            )
-        src = tile[by0 - ty : by1 - ty, :]
-        dst = (slice(by0, by1), slice(tx, tx + tw))
-        if blend is BlendMode.OVERLAY:
-            canvas[dst] = src
-        elif blend is BlendMode.MAXIMUM:
-            np.maximum(canvas[dst], src, out=canvas[dst])
-        elif blend is BlendMode.AVERAGE:
-            canvas[dst] += src
-            weight[dst] += 1.0
-        elif blend is BlendMode.LINEAR:
-            w_src = lin_w[by0 - ty : by1 - ty, :]
-            canvas[dst] += src * w_src
-            weight[dst] += w_src
-        else:  # pragma: no cover - exhaustive enum
-            raise AssertionError(blend)
-        rendered.append((r, c))
-    if weight is not None:
-        w_band = weight[y0:y1]
-        c_band = canvas[y0:y1]
-        covered = w_band > 0
-        c_band[covered] /= w_band[covered]
-    return rendered
-
-
-def _compose_stripe_task(idx: int) -> list[tuple[int, int]]:
-    """Process-pool entry point: render one stripe from the forked context."""
-    ctx = _COMPOSE_CTX
-    y0, y1 = ctx["stripes"][idx]
-    return _render_stripe(
-        y0, y1, ctx["canvas"], ctx["weight"], ctx["tiles"], ctx["load_tile"],
-        ctx["blend"], ctx["lin_w"], ctx["tile_shape"], ctx["on_tile_error"],
-    )
+__all__ = ["BlendMode", "compose"]
 
 
 def compose(
@@ -159,21 +38,13 @@ def compose(
     skip_tiles=None,
     on_tile_error: str = "abort",
     return_mask: bool = False,
-    workers: int = 1,
 ):
     """Render the mosaic; returns a 2-D array of ``dtype``.
 
     ``load_tile(row, col) -> ndarray`` supplies pixels on demand.  Tiles are
     visited row-major, which for OVERLAY reproduces the usual microscopy
-    convention (later rows/columns over earlier ones).
-
-    ``workers > 1`` renders the canvas as that many horizontal stripes in
-    parallel -- forked worker processes writing a shared-memory canvas
-    where the platform supports it, threads otherwise.  Stripes own
-    disjoint canvas rows (no atomics) and visit tiles in the sequential
-    order, so the result is bit-identical to ``workers=1`` for every blend
-    mode; the only cost is that a tile straddling a stripe boundary is
-    loaded once per stripe it touches.
+    convention (later rows/columns over earlier ones).  ``outline`` draws
+    tile borders at ``outline_value`` (default: the canvas maximum).
 
     Degraded rendering: ``skip_tiles`` (iterable of ``(row, col)``) leaves
     holes where phase 1 dropped tiles; ``on_tile_error="skip"`` also turns
@@ -182,207 +53,24 @@ def compose(
     ``mask[r, c]`` is True for every tile actually rendered -- the
     per-tile provenance record of the partial mosaic.
     """
-    rows, cols = positions.rows, positions.cols
-    skip = {(int(r), int(c)) for r, c in (skip_tiles or ())}
     if on_tile_error not in ("abort", "skip"):
         raise ValueError(
             f"unknown on_tile_error {on_tile_error!r} (use 'abort' or 'skip')"
         )
-    if workers < 1:
-        raise ValueError(f"need at least one compose worker, got {workers}")
-    th, tw = tile_shape
-    canvas_shape = positions.mosaic_shape(tile_shape)
-    mask = np.zeros((rows, cols), dtype=bool)
-    need_weight = blend in (BlendMode.AVERAGE, BlendMode.LINEAR)
-    lin_w = _linear_weight(tile_shape) if blend is BlendMode.LINEAR else None
-    # Row-major tile order -- the painter's order every stripe preserves.
-    tiles = [
-        (r, c, int(positions.positions[r, c][0]), int(positions.positions[r, c][1]))
-        for r in range(rows)
-        for c in range(cols)
-        if (r, c) not in skip
-    ]
-
-    if workers <= 1:
-        canvas = np.zeros(canvas_shape, dtype=np.float64)
-        weight = np.zeros(canvas_shape, dtype=np.float64) if need_weight else None
-        rendered = _render_stripe(
-            0, canvas_shape[0], canvas, weight, tiles, load_tile,
-            blend, lin_w, tile_shape, on_tile_error,
-        )
-        for r, c in rendered:
-            mask[r, c] = True
-    else:
-        canvas = _compose_striped(
-            canvas_shape, mask, tiles, load_tile, blend, lin_w,
-            tile_shape, on_tile_error, workers,
-        )
-
+    blend = BlendMode(blend)
+    canvas = np.empty(positions.mosaic_shape(tile_shape), dtype=np.float64)
+    weight = np.empty_like(canvas) if blend.weighted else None
+    render = blend_kernel(load_tile, tile_shape, blend, on_tile_error)
+    rendered = render(canvas, weight, 0, 0, painter_order(positions, skip_tiles))
+    del weight  # a second canvas; free it before the dtype copy
     if outline:
         if outline_value is None:
             outline_value = float(canvas.max())
-        for r in range(rows):
-            for c in range(cols):
-                if not mask[r, c]:
-                    continue
-                y, x = (int(v) for v in positions.positions[r, c])
-                canvas[y, x : x + tw] = outline_value
-                canvas[min(y + th - 1, canvas.shape[0] - 1), x : x + tw] = outline_value
-                canvas[y : y + th, x] = outline_value
-                canvas[y : y + th, min(x + tw - 1, canvas.shape[1] - 1)] = outline_value
-
+        draw_outlines(canvas, 0, 0, rendered, tile_shape, outline_value)
     canvas = canvas.astype(dtype)
     if return_mask:
+        mask = np.zeros((positions.rows, positions.cols), dtype=bool)
+        for r, c, _, _ in rendered:
+            mask[r, c] = True
         return canvas, mask
     return canvas
-
-
-def _compose_striped(
-    canvas_shape: tuple[int, int],
-    mask: np.ndarray,
-    tiles: list[tuple[int, int, int, int]],
-    load_tile,
-    blend: BlendMode,
-    lin_w: np.ndarray | None,
-    tile_shape: tuple[int, int],
-    on_tile_error: str,
-    workers: int,
-) -> np.ndarray:
-    """Parallel phase-3 render: disjoint horizontal stripes in workers.
-
-    Preferred backend is forked processes sharing a ``ShmArena`` canvas
-    (and weight accumulator), so stripe renders escape the GIL entirely;
-    where ``fork`` is unavailable the same stripe tasks run on threads
-    over ordinary arrays.  Either way the blending math is
-    :func:`_render_stripe`, so the result is bit-identical to sequential.
-    """
-    global _COMPOSE_CTX
-    stripes = _stripe_bounds(canvas_shape[0], workers)
-    need_weight = blend in (BlendMode.AVERAGE, BlendMode.LINEAR)
-    use_procs = len(stripes) > 1 and "fork" in mp.get_all_start_methods()
-
-    if not use_procs:
-        canvas = np.zeros(canvas_shape, dtype=np.float64)
-        weight = np.zeros(canvas_shape, dtype=np.float64) if need_weight else None
-        with ThreadPoolExecutor(max_workers=len(stripes)) as pool:
-            futures = [
-                pool.submit(
-                    _render_stripe, y0, y1, canvas, weight, tiles, load_tile,
-                    blend, lin_w, tile_shape, on_tile_error,
-                )
-                for y0, y1 in stripes
-            ]
-            for fut in futures:
-                for r, c in fut.result():
-                    mask[r, c] = True
-        return canvas
-
-    from repro.memmodel.shm import ShmArena
-
-    arena = ShmArena()
-    try:
-        # POSIX shared memory is zero-filled on creation, so the slabs are
-        # ready-to-blend canvases without an extra clearing pass.
-        canvas = arena.slab("canvas", 1, canvas_shape, np.float64).slot(0)
-        weight = (
-            arena.slab("weight", 1, canvas_shape, np.float64).slot(0)
-            if need_weight
-            else None
-        )
-        _COMPOSE_CTX = {
-            "stripes": stripes,
-            "canvas": canvas,
-            "weight": weight,
-            "tiles": tiles,
-            "load_tile": load_tile,
-            "blend": blend,
-            "lin_w": lin_w,
-            "tile_shape": tile_shape,
-            "on_tile_error": on_tile_error,
-        }
-        try:
-            with ProcessPoolExecutor(
-                max_workers=len(stripes), mp_context=mp.get_context("fork")
-            ) as pool:
-                for rendered in pool.map(
-                    _compose_stripe_task, range(len(stripes))
-                ):
-                    for r, c in rendered:
-                        mask[r, c] = True
-        finally:
-            _COMPOSE_CTX = None
-        # Private copy so the mosaic outlives the arena unlink below.
-        return np.array(canvas)
-    finally:
-        arena.close()
-
-
-def compose_to_tiff(
-    path,
-    load_tile,
-    positions: GlobalPositions,
-    tile_shape: tuple[int, int],
-    blend: BlendMode = BlendMode.OVERLAY,
-    band_rows: int | None = None,
-    dtype=np.uint16,
-    scale: float | None = None,
-    skip_tiles=None,
-    on_tile_error: str = "abort",
-    memory_budget: int | None = None,
-    pyramid_levels: int = 0,
-    metrics=None,
-    tracer=None,
-) -> tuple[int, int]:
-    """Compose directly to a TIFF/BigTIFF file in row bands (bounded memory).
-
-    The paper's full-scale mosaic is 17k x 22k pixels (~750 MB at 16-bit);
-    Fiji takes 1.5 h to compose and save it largely because it
-    materializes everything.  This streams: for each horizontal band only
-    the tiles intersecting it are loaded, blended, quantized and appended
-    through :class:`repro.io.tiff.TiffStripWriter`.  Peak memory is one
-    band plus the tile cache.
-
-    This is a thin front end over
-    :func:`repro.core.streamcompose.stream_compose_to_tiff`, kept for its
-    stable ``(height, width)`` return; see that function for the full
-    contract.  Highlights:
-
-    - all four blend modes stream bit-identically to :func:`compose`
-      (LINEAR feathering normalizes per stripe, which is exactly the
-      row-restriction of the global normalization);
-    - ``memory_budget`` (bytes) derives the stripe height and funds an
-      LRU tile cache; without it ``band_rows`` defaults to twice the
-      tile height;
-    - ``pyramid_levels`` streams 2x block-mean levels next to ``path``;
-    - ``scale`` maps pixel values to the integer range (``None`` =
-      identity with clipping to the dtype's range);
-    - ``skip_tiles``/``on_tile_error`` mirror :func:`compose` for
-      partial mosaics (a skipped tile is simply left out of every band).
-
-    Every argument is validated *before* any output I/O, and the strips
-    stream into a same-directory ``<name>.part`` file that is renamed
-    over ``path`` only after the last band: a rejected call or a
-    mid-stream failure (bad tile under ``on_tile_error="abort"``, disk
-    error, kill) never leaves a partial mosaic at ``path`` -- readers
-    see the old complete file or the new one, nothing in between.
-    """
-    from repro.core.streamcompose import stream_compose_to_tiff
-    from repro.observe.tracer import NULL_TRACER
-
-    result = stream_compose_to_tiff(
-        path,
-        load_tile,
-        positions,
-        tile_shape,
-        blend=blend,
-        memory_budget=memory_budget,
-        band_rows=band_rows,
-        dtype=dtype,
-        scale=scale,
-        skip_tiles=skip_tiles,
-        on_tile_error=on_tile_error,
-        pyramid_levels=pyramid_levels,
-        metrics=metrics,
-        tracer=tracer if tracer is not None else NULL_TRACER,
-    )
-    return result.shape

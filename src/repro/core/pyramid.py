@@ -22,9 +22,9 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.compose import BlendMode
 from repro.core.downsample import downsample
 from repro.core.global_opt import GlobalPositions
+from repro.core.streamcompose import BlendMode, blend_kernel, painter_order
 
 __all__ = ["DiskPyramid", "MosaicPyramid", "downsample"]
 
@@ -126,43 +126,23 @@ class MosaicPyramid:
         """Compose the viewport ``[y, y+height) x [x, x+width)`` at a level.
 
         Coordinates are in *level* pixels.  Only tiles intersecting the
-        viewport are loaded.  ``OVERLAY`` and ``AVERAGE`` blends are
-        supported (feathering needs global weights, which defeats windowed
-        rendering).
+        viewport are loaded.  Every blend runs through the shared kernel
+        :func:`repro.core.streamcompose.blend_kernel`, so a level-0
+        viewport equals the same crop of :func:`repro.core.compose.compose`
+        bit for bit.
         """
         if height < 1 or width < 1:
             raise ValueError("viewport must be at least 1x1")
-        if blend not in (BlendMode.OVERLAY, BlendMode.AVERAGE):
-            raise ValueError(f"windowed rendering supports OVERLAY/AVERAGE, not {blend}")
+        blend = BlendMode(blend)
         f = self.level_factor(level)
-        th = (self.tile_shape[0] + f - 1) // f
-        tw = (self.tile_shape[1] + f - 1) // f
-        canvas = np.zeros((height, width), dtype=np.float64)
-        weight = (
-            np.zeros((height, width), dtype=np.float64)
-            if blend is BlendMode.AVERAGE
-            else None
+        tile_shape = tuple((n + f - 1) // f for n in self.tile_shape)
+        render = blend_kernel(
+            lambda r, c: self._tile_at(r, c, level), tile_shape, blend
         )
-        for r in range(self.positions.rows):
-            for c in range(self.positions.cols):
-                ty, tx = (int(v) // f for v in self.positions.positions[r, c])
-                # Intersect tile box with the viewport.
-                y0, y1 = max(ty, y), min(ty + th, y + height)
-                x0, x1 = max(tx, x), min(tx + tw, x + width)
-                if y1 <= y0 or x1 <= x0:
-                    continue
-                tile = self._tile_at(r, c, level)
-                src = tile[y0 - ty : y1 - ty, x0 - tx : x1 - tx]
-                dst = (slice(y0 - y, y1 - y), slice(x0 - x, x1 - x))
-                if blend is BlendMode.OVERLAY:
-                    canvas[dst] = src
-                else:
-                    canvas[dst] += src
-                    weight[dst] += 1.0
-        if weight is not None:
-            covered = weight > 0
-            canvas[covered] /= weight[covered]
-        return canvas
+        band = np.empty((height, width), dtype=np.float64)
+        render(band, np.empty_like(band) if blend.weighted else None, y, x,
+               painter_order(self.positions, factor=f))
+        return band
 
 
 class DiskPyramid:

@@ -100,14 +100,11 @@ class StitchResult:
         outline: bool = False,
         dtype=np.float32,
         return_mask: bool = False,
-        workers: int = 1,
     ):
         """Phase 3, on demand (the paper renders rather than always saving).
 
         Tiles phase 1 dropped are left as holes; with ``return_mask=True``
         the per-tile provenance mask comes back alongside the canvas.
-        ``workers > 1`` renders horizontal canvas stripes in parallel
-        (bit-identical to sequential; see :func:`repro.core.compose.compose`).
         """
         return compose(
             self._load_native,
@@ -119,7 +116,6 @@ class StitchResult:
             skip_tiles=self.skipped_tiles(),
             on_tile_error=self.on_tile_error,
             return_mask=return_mask,
-            workers=workers,
         )
 
     def _load_native(self, row: int, col: int) -> np.ndarray:
@@ -142,28 +138,28 @@ class StitchResult:
         band_rows: int | None = None,
         dtype=np.uint16,
         scale: float | None = None,
+        outline: bool = False,
         metrics=None,
         tracer=None,
     ):
-        """Phase 3 straight to disk under a memory budget (out-of-core).
+        """Phase 3 straight to disk in bounded stripes.
 
-        Streams the mosaic to ``path`` in bounded stripes through
+        Streams the mosaic to ``path`` through
         :func:`repro.core.streamcompose.stream_compose_to_tiff` --
-        bit-identical to :meth:`compose` + quantization for every blend
-        mode, but peak memory is the budget, not the canvas.
-        ``memory_budget`` (bytes) sizes the stripes and the LRU tile
-        cache; ``pyramid_levels`` also writes 2x block-mean levels next
-        to ``path`` for :class:`repro.core.pyramid.DiskPyramid` viewers.
-        Tiles phase 1 dropped are left as holes, as in :meth:`compose`.
+        bit-identical to :meth:`compose` + clipping for every blend mode,
+        but the canvas never exists.  ``memory_budget`` (bytes) sizes the
+        stripes and the LRU tile cache; ``pyramid_levels`` also writes 2x
+        block-mean levels next to ``path`` for
+        :class:`repro.core.pyramid.DiskPyramid` viewers.  Tiles phase 1
+        dropped are left as holes, as in :meth:`compose`.
 
         Returns the :class:`repro.core.streamcompose.StreamComposeResult`
         (mosaic shape, stripe/cache/peak-memory accounting, pyramid
         paths).
         """
-        from repro.core.streamcompose import stream_compose_to_tiff
-        from repro.observe.tracer import NULL_TRACER
+        from repro.core import streamcompose
 
-        return stream_compose_to_tiff(
+        return streamcompose.stream_compose_to_tiff(
             path,
             self._load_native,
             self.positions,
@@ -176,8 +172,9 @@ class StitchResult:
             skip_tiles=self.skipped_tiles(),
             on_tile_error=self.on_tile_error,
             pyramid_levels=pyramid_levels,
+            outline=outline,
             metrics=metrics,
-            tracer=tracer if tracer is not None else NULL_TRACER,
+            tracer=tracer,
         )
 
     def position_errors(self, exclude_degraded: bool = False) -> np.ndarray | None:

@@ -1,30 +1,34 @@
-"""Out-of-core phase 3: bounded-memory streaming composition.
+"""Phase 3: the one mosaic renderer (Figs. 13-14), streamed in stripes.
 
-The in-memory :func:`repro.core.compose.compose` caps mosaic size at RAM
-(the ROADMAP's first open item): a 42x59-tile grid at the paper's tile
-size is a ~17 GB float64 canvas.  This module renders the same mosaic
-under a *hard memory budget*: the canvas never exists -- the mosaic is
-produced as bounded horizontal stripes, each blended in a reusable band
-buffer, quantized, and appended to an incremental striped TIFF/BigTIFF
-writer (:class:`repro.io.tiff.TiffStripWriter`).  Peak resident bytes are
+Every rendering path -- :func:`stream_compose_to_tiff` (the CLI's ``-o``
+and the service), the in-memory :func:`repro.core.compose.compose` and
+the viewport renderer :meth:`repro.core.pyramid.MosaicPyramid.render_region`
+-- blends through one kernel, :func:`blend_kernel`.  It renders any
+window of the mosaic into a float64 band, visiting tiles in row-major
+painter's order; every per-pixel operation is elementwise, so a window
+is bit-identical to the same crop of the full canvas for every
+:class:`BlendMode` (LINEAR included: slicing an elementwise product
+commutes with computing it, and the per-pixel normalization only sees
+that pixel's contributors).
+
+:func:`stream_compose_to_tiff` calls the kernel once per full-width
+stripe and appends each quantized stripe to an incremental striped
+TIFF/BigTIFF writer (:class:`repro.io.tiff.TiffStripWriter`); the
+canvas never exists.  Peak resident bytes are
 
     stripe band (float64) + weight band (AVERAGE/LINEAR) +
-    quantized output band + LRU tile cache
+    quantized output band + resident tiles
 
-and the stripe height is *derived from the budget* so that sum stays
-under it.  The LRU tile cache (:class:`repro.io.dataset.TileCache`,
-modeled on feabas's ``loader_config.cache_size``) absorbs the re-decodes
-of tiles that straddle stripe boundaries, keeping each source tile
-decoded O(1) amortized times.
+Without a memory budget each tile is decoded once and held until the
+last stripe that contains it.  A ``memory_budget`` derives the stripe
+height so that sum stays under it and funds an LRU tile cache
+(:class:`repro.io.dataset.TileCache`, modeled on feabas's
+``loader_config.cache_size``) that absorbs the re-decodes of tiles
+straddling stripe boundaries.
 
-Bit-identity with the in-memory path holds for **all four blend modes**,
-including LINEAR feathering: every tile covering a pixel vertically
-intersects that pixel's stripe, so the per-stripe weighted accumulation
-and normalization are exactly the row-restriction of the global
-computation -- same contributors, same painter's order, same float64
-sums.  (The previous streaming writer rejected LINEAR out of caution;
-the restriction argument above is the same one that already justifies
-``_render_stripe``.)
+Quantization is the same on every path: optional ``scale``, then clip to
+the integer output range and a truncating ``astype`` -- identity for
+in-range pixels, so uint8 and uint16 tiles keep their values.
 
 After the full-resolution pass, multi-resolution pyramid levels are
 emitted by streaming each level from the level above (block-mean 2x
@@ -39,11 +43,11 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from enum import Enum
 from pathlib import Path
 
 import numpy as np
 
-from repro.core.compose import BlendMode, _linear_weight
 from repro.core.downsample import downsample, downsampled_shape
 from repro.core.global_opt import GlobalPositions
 from repro.io.dataset import TileCache
@@ -55,6 +59,165 @@ from repro.observe.tracer import NULL_TRACER
 #: (the set that straddles stripe boundaries) while leaving stripes tall
 #: enough that most tiles are visited once.
 CACHE_FRACTION = 0.5
+
+
+class BlendMode(Enum):
+    """How overlapping tiles combine.
+
+    ``OVERLAY``
+        Last write wins -- the mode used for the paper's Fig. 13
+        ("composed using an overlay blend").
+    ``AVERAGE``
+        Mean of all tiles covering a pixel.
+    ``MAXIMUM``
+        Per-pixel max; useful for fluorescence channels.
+    ``LINEAR``
+        Feathered blend: each tile contributes with a weight that ramps
+        from its borders toward its centre, hiding seams from residual
+        registration or illumination error.
+    """
+
+    OVERLAY = "overlay"
+    AVERAGE = "average"
+    MAXIMUM = "maximum"
+    LINEAR = "linear"
+
+    @property
+    def weighted(self) -> bool:
+        """Whether the blend needs a per-pixel weight band."""
+        return self in (BlendMode.AVERAGE, BlendMode.LINEAR)
+
+
+def _linear_weight(shape: tuple[int, int]) -> np.ndarray:
+    """Separable ramp weight, 1 at the tile centre, ~0 at the borders."""
+    h, w = shape
+    wy = 1.0 - np.abs(np.linspace(-1.0, 1.0, h))
+    wx = 1.0 - np.abs(np.linspace(-1.0, 1.0, w))
+    out = np.outer(wy, wx)
+    # Strictly positive so fully-covered pixels never divide by zero.
+    return np.maximum(out, 1e-6)
+
+
+def painter_order(
+    positions: GlobalPositions, skip_tiles=None, factor: int = 1
+) -> list[tuple[int, int, int, int]]:
+    """``(row, col, y, x)`` of every tile not in ``skip_tiles``, row-major.
+
+    Row-major is the painter's order every renderer preserves (for
+    OVERLAY, later rows/columns land over earlier ones).  ``factor``
+    divides the origins, for the tiles of a downsampled pyramid level.
+    """
+    skip = {(int(r), int(c)) for r, c in (skip_tiles or ())}
+    return [
+        (r, c, int(positions.positions[r, c][0]) // factor,
+         int(positions.positions[r, c][1]) // factor)
+        for r in range(positions.rows)
+        for c in range(positions.cols)
+        if (r, c) not in skip
+    ]
+
+
+def blend_kernel(
+    load_tile,
+    tile_shape: tuple[int, int],
+    blend: BlendMode,
+    on_tile_error: str = "abort",
+):
+    """The one blend kernel, bound to a tile source; returns ``render_window``.
+
+    ``render_window(band, weight, y0, x0, tiles)`` blends the mosaic
+    window ``[y0, y0+h) x [x0, x0+w)`` into ``band``, a float64 ``(h, w)``
+    array; ``weight`` is a same-shape float64 scratch band, needed only
+    when ``blend.weighted``.  Both are overwritten.  ``tiles`` are
+    ``(row, col, y, x)`` in painter's order (:func:`painter_order`);
+    ``load_tile(row, col)`` supplies pixels of ``tile_shape`` and is only
+    called for tiles intersecting the window.  It returns the tiles
+    blended into the window.  ``on_tile_error="skip"`` leaves a hole
+    where a load fails.
+
+    Binding happens once per render so the LINEAR weight is built once,
+    however many windows (stripes) follow.  Tiles are blended in their
+    native dtype: numpy's promotion makes uint8/uint16 arithmetic in the
+    float64 band value-exact, so no float64 copy of a tile is ever made.
+    """
+    th, tw = tile_shape
+    lin_w = _linear_weight((th, tw)) if blend is BlendMode.LINEAR else None
+
+    def render_window(
+        band: np.ndarray,
+        weight: np.ndarray | None,
+        y0: int,
+        x0: int,
+        tiles: list[tuple[int, int, int, int]],
+    ) -> list[tuple[int, int, int, int]]:
+        h, w = band.shape
+        band[:] = 0.0
+        if weight is not None:
+            weight[:] = 0.0
+        rendered = []
+        for t in tiles:
+            r, c, ty, tx = t
+            ya, yb = max(ty, y0), min(ty + th, y0 + h)
+            xa, xb = max(tx, x0), min(tx + tw, x0 + w)
+            if yb <= ya or xb <= xa:
+                continue
+            try:
+                tile = np.asarray(load_tile(r, c))
+            except Exception:
+                if on_tile_error == "skip":
+                    continue
+                raise
+            if tile.shape != (th, tw):
+                raise ValueError(
+                    f"tile ({r},{c}) has shape {tile.shape}, expected {(th, tw)}"
+                )
+            sy, sx = slice(ya - ty, yb - ty), slice(xa - tx, xb - tx)
+            src = tile[sy, sx]
+            dst = (slice(ya - y0, yb - y0), slice(xa - x0, xb - x0))
+            if blend is BlendMode.OVERLAY:
+                band[dst] = src
+            elif blend is BlendMode.MAXIMUM:
+                np.maximum(band[dst], src, out=band[dst])
+            elif blend is BlendMode.AVERAGE:
+                band[dst] += src
+                weight[dst] += 1.0
+            elif blend is BlendMode.LINEAR:
+                w_src = lin_w[sy, sx]
+                band[dst] += src * w_src
+                weight[dst] += w_src
+            else:  # pragma: no cover - exhaustive enum
+                raise AssertionError(blend)
+            rendered.append(t)
+        if weight is not None:
+            covered = weight > 0
+            band[covered] /= weight[covered]
+        return rendered
+
+    return render_window
+
+
+def draw_outlines(
+    band: np.ndarray,
+    y0: int,
+    x0: int,
+    tiles: list[tuple[int, int, int, int]],
+    tile_shape: tuple[int, int],
+    value: float,
+) -> None:
+    """Paint the borders of ``tiles`` into the window at ``(y0, x0)`` (Fig. 14)."""
+    th, tw = tile_shape
+    h, w = band.shape
+    for _, _, ty, tx in tiles:
+        ya, yb = max(ty, y0), min(ty + th, y0 + h)
+        xa, xb = max(tx, x0), min(tx + tw, x0 + w)
+        if yb <= ya or xb <= xa:
+            continue
+        for y in (ty, ty + th - 1):
+            if ya <= y < yb:
+                band[y - y0, xa - x0 : xb - x0] = value
+        for x in (tx, tx + tw - 1):
+            if xa <= x < xb:
+                band[ya - y0 : yb - y0, x - x0] = value
 
 
 def pyramid_level_path(path: str | Path, level: int) -> Path:
@@ -93,8 +256,7 @@ def plan_stripe_rows(
         raise ValueError(f"memory budget must be positive, got {memory_budget}")
     if not 0.0 <= cache_fraction < 1.0:
         raise ValueError(f"cache_fraction must be in [0, 1), got {cache_fraction}")
-    need_weight = blend in (BlendMode.AVERAGE, BlendMode.LINEAR)
-    per_row = width * (8 + (8 if need_weight else 0) + out_dtype.itemsize)
+    per_row = width * (8 + (8 if blend.weighted else 0) + out_dtype.itemsize)
     if memory_budget < per_row:
         raise ValueError(
             f"memory budget {memory_budget} B cannot fit one canvas row "
@@ -119,8 +281,8 @@ class StreamComposeResult:
     band_rows: int
     stripes: int
     tiles_rendered: int
-    #: Peak tracked resident bytes (stripe buffers + tile cache), the
-    #: number the memory budget bounds.
+    #: Peak tracked resident bytes (stripe buffers + resident tiles),
+    #: the number the memory budget bounds.
     peak_bytes: int
     memory_budget: int | None
     cache: dict | None
@@ -169,29 +331,36 @@ def stream_compose_to_tiff(
     pyramid_levels: int = 0,
     cache_fraction: float = CACHE_FRACTION,
     bigtiff: bool | str = "auto",
+    outline: bool = False,
     metrics=None,
-    tracer=NULL_TRACER,
+    tracer=None,
 ) -> StreamComposeResult:
-    """Compose a mosaic to a TIFF/BigTIFF under a hard memory budget.
+    """Compose a mosaic to a TIFF/BigTIFF in bounded stripes.
 
     The mosaic is rendered top-to-bottom in stripes of ``band_rows`` canvas
-    rows; ``memory_budget`` (bytes) derives ``band_rows`` via
-    :func:`plan_stripe_rows` and funds an LRU tile cache with the
-    remainder.  Passing ``band_rows`` explicitly overrides the derived
-    stripe height (the cache still gets its budget share).  With neither,
-    stripes default to twice the tile height and no cache is used --
-    the legacy :func:`repro.core.compose.compose_to_tiff` behavior.
+    rows, one :func:`blend_kernel` window each; ``memory_budget`` (bytes)
+    derives ``band_rows`` via :func:`plan_stripe_rows` and funds an LRU
+    tile cache with the remainder.  Passing ``band_rows`` explicitly
+    overrides the derived stripe height (the cache still gets its budget
+    share).  With neither, stripes default to twice the tile height.
+    Without a budget every tile is decoded exactly once and dropped after
+    the last stripe that contains it.
 
-    All four blend modes stream bit-identically to the in-memory path
-    (see module docstring for the LINEAR argument).  ``scale`` maps pixel
-    values into the integer output range exactly as the in-memory
-    quantization does (multiply, clip, truncating ``astype``).
+    Every blend mode is bit-identical to clipping
+    :func:`repro.core.compose.compose` (at ``dtype=np.float64``) to the
+    output range.  ``scale`` multiplies pixel values before the clip and
+    truncating ``astype`` (``None`` = identity).  ``outline`` draws each
+    rendered tile's border at the output dtype's maximum (Fig. 14).
+
+    ``skip_tiles`` leaves holes where phase 1 dropped tiles;
+    ``on_tile_error="skip"`` also turns load failures into holes.
 
     ``pyramid_levels`` > 0 additionally writes that many 2x block-mean
     levels next to ``path`` (see :func:`pyramid_level_path`), each
-    streamed from the level above through windowed reads.  All files
-    (mosaic + levels) are published atomically together; any failure
-    unlinks every ``.part``.
+    streamed from the level above through windowed reads.  Every argument
+    is validated before any output I/O, and all files (mosaic + levels)
+    are published atomically together; any failure unlinks every
+    ``.part``.
 
     ``metrics`` (a :class:`repro.observe.MetricsRegistry`) gains a
     ``compose_peak_canvas_bytes`` gauge, tile-cache hit/miss/eviction
@@ -199,8 +368,8 @@ def stream_compose_to_tiff(
     span per stripe and per pyramid level.
 
     Returns a :class:`StreamComposeResult`; ``result.peak_bytes`` is the
-    tracked peak of stripe buffers + cache, which tests assert stays
-    within ``memory_budget``.
+    tracked peak of stripe buffers + resident tiles, which tests assert
+    stays within ``memory_budget``.
     """
     # -- validate everything before any output I/O (atomicity contract).
     blend = BlendMode(blend)
@@ -208,7 +377,6 @@ def stream_compose_to_tiff(
         raise ValueError(
             f"unknown on_tile_error {on_tile_error!r} (use 'abort' or 'skip')"
         )
-    skip = {(int(r), int(c)) for r, c in (skip_tiles or ())}
     dtype = np.dtype(dtype)
     if dtype.kind not in "iu":
         raise ValueError(f"streaming compose needs an integer dtype, got {dtype}")
@@ -217,6 +385,8 @@ def stream_compose_to_tiff(
         raise ValueError(f"bad tile shape {tile_shape}")
     if pyramid_levels < 0:
         raise ValueError(f"pyramid_levels must be >= 0, got {pyramid_levels}")
+    if tracer is None:
+        tracer = NULL_TRACER
     height, width = positions.mosaic_shape(tile_shape)
 
     cache_bytes = 0
@@ -230,32 +400,40 @@ def stream_compose_to_tiff(
         band_rows = 2 * th
     band_rows = max(1, min(int(band_rows), height))
     limit = float(np.iinfo(dtype).max)
-    need_weight = blend in (BlendMode.AVERAGE, BlendMode.LINEAR)
-    lin_w = _linear_weight((th, tw)) if blend is BlendMode.LINEAR else None
+
+    n_stripes = (height + band_rows - 1) // band_rows
+    buckets = _stripe_tiles(painter_order(positions, skip_tiles), n_stripes,
+                            band_rows, th)
 
     cache = TileCache(load_tile, cache_bytes) if cache_bytes > 0 else None
-    fetch = cache.load if cache is not None else load_tile
+    # Without a budget, each decoded tile is held until its last stripe.
+    held: dict[tuple[int, int], np.ndarray] = {}
+    last_stripe = {(t[0], t[1]): s for s, bucket in enumerate(buckets)
+                   for t in bucket}
+
+    def hold(r: int, c: int) -> np.ndarray:
+        tile = held.get((r, c))
+        if tile is None:
+            tile = held[r, c] = np.asarray(load_tile(r, c))
+        return tile
+
+    if cache is not None:
+        fetch = cache.load
+    elif memory_budget is None:
+        fetch = hold
+    else:
+        fetch = load_tile
+
+    render = blend_kernel(fetch, (th, tw), blend, on_tile_error)
 
     gauge = metrics.gauge("compose_peak_canvas_bytes") if metrics is not None else None
     peak_bytes = 0
 
     def track(resident: int) -> None:
         nonlocal peak_bytes
-        if cache is not None:
-            resident += cache.current_bytes
         peak_bytes = max(peak_bytes, resident)
         if gauge is not None:
             gauge.set(resident)
-
-    # Row-major painter's order, bucketed per stripe.
-    tiles = [
-        (r, c, int(positions.positions[r, c][0]), int(positions.positions[r, c][1]))
-        for r in range(positions.rows)
-        for c in range(positions.cols)
-        if (r, c) not in skip
-    ]
-    n_stripes = (height + band_rows - 1) // band_rows
-    buckets = _stripe_tiles(tiles, n_stripes, band_rows, th)
 
     path = Path(path)
     level_paths = [pyramid_level_path(path, k) for k in range(pyramid_levels + 1)]
@@ -264,64 +442,37 @@ def stream_compose_to_tiff(
 
     try:
         # -- full-resolution pass -------------------------------------------
+        # One strip descriptor whatever the stripe height, so a memory
+        # budget never changes a byte of the file.
         with TiffStripWriter(
-            parts[0], height, width, dtype,
-            rows_per_strip=band_rows, bigtiff=bigtiff,
+            parts[0], height, width, dtype, bigtiff=bigtiff
         ) as writer:
-            band = np.zeros((band_rows, width), dtype=np.float64)
-            weight = np.zeros_like(band) if need_weight else None
+            band = np.empty((band_rows, width), dtype=np.float64)
+            weight = np.empty_like(band) if blend.weighted else None
             for s in range(n_stripes):
                 y0 = s * band_rows
-                y1 = min(height, y0 + band_rows)
-                b = band[: y1 - y0]
-                b[:] = 0.0
-                w = None
-                if weight is not None:
-                    w = weight[: y1 - y0]
-                    w[:] = 0.0
+                rows = min(height, y0 + band_rows) - y0
+                b = band[:rows]
                 with tracer.span("compose.stripe", "compose", key=f"s{s}"):
-                    for r, c, ty, tx in buckets[s]:
-                        by0, by1 = max(ty, y0), min(ty + th, y1)
-                        if by1 <= by0:
-                            continue
-                        try:
-                            # Native dtype: float64 promotion inside the
-                            # blend ops is value-exact for uint tiles, so
-                            # no 4x-sized tile copy is ever made.
-                            tile = np.asarray(fetch(r, c))
-                        except Exception:
-                            if on_tile_error == "skip":
-                                continue
-                            raise
-                        if tile.shape != (th, tw):
-                            raise ValueError(
-                                f"tile ({r},{c}) has shape {tile.shape}, "
-                                f"expected {(th, tw)}"
-                            )
-                        src = tile[by0 - ty : by1 - ty, :]
-                        dst = (slice(by0 - y0, by1 - y0), slice(tx, tx + tw))
-                        if blend is BlendMode.OVERLAY:
-                            b[dst] = src
-                        elif blend is BlendMode.MAXIMUM:
-                            np.maximum(b[dst], src, out=b[dst])
-                        elif blend is BlendMode.AVERAGE:
-                            b[dst] += src
-                            w[dst] += 1.0
-                        else:  # LINEAR
-                            w_src = lin_w[by0 - ty : by1 - ty, :]
-                            b[dst] += src * w_src
-                            w[dst] += w_src
-                        rendered.add((r, c))
-                    if w is not None:
-                        covered = w > 0
-                        b[covered] /= w[covered]
+                    done = render(
+                        b, None if weight is None else weight[:rows], y0, 0,
+                        buckets[s],
+                    )
                     if scale is not None:
                         b *= scale
+                    if outline:
+                        draw_outlines(b, y0, 0, done, (th, tw), limit)
                     np.clip(b, 0, limit, out=b)
                     out = b.astype(dtype)
                     writer.write_rows(out)
+                rendered.update((r, c) for r, c, _, _ in done)
+                tiles_bytes = (cache.current_bytes if cache is not None
+                               else sum(t.nbytes for t in held.values()))
                 track(band.nbytes + (weight.nbytes if weight is not None else 0)
-                      + out.nbytes)
+                      + out.nbytes + tiles_bytes)
+                for r, c, _, _ in buckets[s]:
+                    if last_stripe[r, c] == s:
+                        held.pop((r, c), None)
                 if metrics is not None:
                     metrics.counter("compose_stripes").inc()
             del band, weight, out
@@ -386,8 +537,7 @@ def _stream_pyramid_levels(
         out_band = max(1, band_rows // 4)
         with tracer.span("compose.pyramid_level", "compose", key=f"L{k}"), \
                 TiffReader(parts[k - 1]) as reader, \
-                TiffStripWriter(parts[k], out_h, out_w, dtype,
-                                rows_per_strip=out_band) as writer:
+                TiffStripWriter(parts[k], out_h, out_w, dtype) as writer:
             for oy0 in range(0, out_h, out_band):
                 oy1 = min(out_h, oy0 + out_band)
                 src = reader.read_rows(2 * oy0, min(in_h, 2 * oy1))

@@ -1,12 +1,17 @@
-"""Striped-parallel composition is bit-identical to the sequential pass.
+"""Striped rendering is bit-identical to the whole-canvas pass.
 
-The parallel renderer's whole contract is that ``workers`` is purely a
-throughput knob: disjoint canvas stripes, sequential tile order inside
-each stripe, per-stripe weight accumulation.  These tests pin the
-contract for every blend mode -- including tiles straddling stripe
+The streamed writer renders the mosaic as disjoint horizontal stripes,
+each one call of the shared blend kernel with the tiles in painter's
+order, so the stripe height is purely a memory knob.  These tests pin
+that contract for every blend mode -- including tiles straddling stripe
 boundaries, jittered (non-grid) positions, skipped tiles and load
-failures -- with exact ``array_equal`` comparisons, never tolerances.
+failures -- by comparing the streamed TIFF with ``compose()`` clipped to
+the output range, with exact ``array_equal`` comparisons, never
+tolerances.
 """
+
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,8 +19,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.compose import BlendMode, compose
 from repro.core.global_opt import GlobalPositions
+from repro.core.streamcompose import stream_compose_to_tiff
+from repro.io.tiff import read_tiff
 
 BLENDS = list(BlendMode)
+#: Tiles hold values in [0, 100); scaling spreads them over most of the
+#: uint16 range so quantization keeps three decimal digits of the blend.
+SCALE = 600.0
 
 
 def jittered_positions(rows, cols, step_y, step_x, seed=0):
@@ -39,36 +49,53 @@ def textured_loader(rows, cols, th, tw, seed=1):
     return lambda r, c: tiles[(r, c)]
 
 
+def streamed(load, gp, tile_shape, blend, band_rows, dtype=np.uint16, **kw):
+    """The streamed mosaic as an array, plus the writer's result."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.tif"
+        res = stream_compose_to_tiff(
+            path, load, gp, tile_shape, blend=blend, band_rows=band_rows,
+            dtype=dtype, scale=SCALE, **kw,
+        )
+        return read_tiff(path), res
+
+
+def clipped(canvas, dtype=np.uint16):
+    """The streaming quantization applied to a ``compose()`` canvas."""
+    return np.clip(canvas * SCALE, 0, np.iinfo(dtype).max).astype(dtype)
+
+
 class TestBitIdentical:
     @pytest.mark.parametrize("blend", BLENDS)
-    @pytest.mark.parametrize("workers", [2, 3, 7])
-    def test_all_blends_all_worker_counts(self, blend, workers):
+    @pytest.mark.parametrize("band_rows", [2, 3, 7])
+    def test_all_blends_all_stripe_heights(self, blend, band_rows):
         load = textured_loader(3, 4, 16, 12)
         gp = jittered_positions(3, 4, 12, 9)
-        ref, mref = compose(load, gp, (16, 12), blend, return_mask=True)
-        got, mgot = compose(
-            load, gp, (16, 12), blend, return_mask=True, workers=workers
-        )
-        assert np.array_equal(ref, got)
-        assert np.array_equal(mref, mgot)
+        ref, mref = compose(load, gp, (16, 12), blend, dtype=np.float64,
+                            return_mask=True)
+        got, res = streamed(load, gp, (16, 12), blend, band_rows)
+        assert np.array_equal(clipped(ref), got)
+        assert res.tiles_rendered == int(mref.sum())
 
     @pytest.mark.parametrize("blend", BLENDS)
     def test_tiles_straddling_every_stripe_boundary(self, blend):
         """More stripes than tile rows: every tile crosses a boundary."""
         load = textured_loader(2, 2, 32, 8)
         gp = jittered_positions(2, 2, 24, 6, seed=3)
-        ref = compose(load, gp, (32, 8), blend)
-        # Canvas is ~56 rows; 16 stripes of ~4 rows each slice every
-        # 32-row tile into many stripe-local pieces.
-        got = compose(load, gp, (32, 8), blend, workers=16)
-        assert np.array_equal(ref, got)
+        ref = compose(load, gp, (32, 8), blend, dtype=np.float64)
+        # Canvas is ~56 rows; 4-row stripes slice every 32-row tile into
+        # many stripe-local pieces.
+        got, res = streamed(load, gp, (32, 8), blend, band_rows=4)
+        assert res.stripes > 8
+        assert np.array_equal(clipped(ref), got)
 
-    def test_more_workers_than_canvas_rows(self):
+    def test_one_row_stripes(self):
         load = textured_loader(1, 3, 4, 8)
         gp = jittered_positions(1, 3, 0, 6, seed=4)
-        ref = compose(load, gp, (4, 8), BlendMode.LINEAR)
-        got = compose(load, gp, (4, 8), BlendMode.LINEAR, workers=64)
-        assert np.array_equal(ref, got)
+        ref = compose(load, gp, (4, 8), BlendMode.LINEAR, dtype=np.float64)
+        got, res = streamed(load, gp, (4, 8), BlendMode.LINEAR, band_rows=1)
+        assert res.stripes == ref.shape[0]
+        assert np.array_equal(clipped(ref), got)
 
     @pytest.mark.parametrize("blend", [BlendMode.OVERLAY, BlendMode.AVERAGE])
     def test_skip_tiles_and_mask(self, blend):
@@ -76,15 +103,14 @@ class TestBitIdentical:
         gp = jittered_positions(3, 3, 8, 8, seed=5)
         skips = [(0, 1), (2, 2)]
         ref, mref = compose(
-            load, gp, (10, 10), blend, skip_tiles=skips, return_mask=True
+            load, gp, (10, 10), blend, dtype=np.float64, skip_tiles=skips,
+            return_mask=True,
         )
-        got, mgot = compose(
-            load, gp, (10, 10), blend, skip_tiles=skips, return_mask=True,
-            workers=4,
-        )
-        assert np.array_equal(ref, got)
-        assert np.array_equal(mref, mgot)
-        assert not mgot[0, 1] and not mgot[2, 2]
+        got, res = streamed(load, gp, (10, 10), blend, band_rows=4,
+                            skip_tiles=skips)
+        assert np.array_equal(clipped(ref), got)
+        assert res.tiles_rendered == int(mref.sum()) == 7
+        assert not mref[0, 1] and not mref[2, 2]
 
     def test_load_failures_skipped_identically(self):
         base = textured_loader(3, 3, 10, 10)
@@ -96,40 +122,37 @@ class TestBitIdentical:
 
         gp = jittered_positions(3, 3, 8, 8, seed=6)
         ref, mref = compose(
-            load, gp, (10, 10), BlendMode.AVERAGE, on_tile_error="skip",
-            return_mask=True,
+            load, gp, (10, 10), BlendMode.AVERAGE, dtype=np.float64,
+            on_tile_error="skip", return_mask=True,
         )
-        got, mgot = compose(
-            load, gp, (10, 10), BlendMode.AVERAGE, on_tile_error="skip",
-            return_mask=True, workers=3,
-        )
-        assert np.array_equal(ref, got)
-        assert np.array_equal(mref, mgot)
-        assert not mgot[1, 1]
+        got, res = streamed(load, gp, (10, 10), BlendMode.AVERAGE,
+                            band_rows=3, on_tile_error="skip")
+        assert np.array_equal(clipped(ref), got)
+        assert res.tiles_rendered == int(mref.sum()) == 8
+        assert not mref[1, 1]
 
-    def test_load_failures_abort_in_workers(self):
+    def test_load_failures_abort_mid_stream(self):
         def load(r, c):
             raise OSError("bad sector")
 
         gp = jittered_positions(2, 2, 8, 8)
         with pytest.raises(OSError):
-            compose(load, gp, (10, 10), BlendMode.OVERLAY, workers=2)
+            streamed(load, gp, (10, 10), BlendMode.OVERLAY, band_rows=2)
 
     @pytest.mark.parametrize("blend", BLENDS)
     def test_outline_and_dtype(self, blend):
+        """Outlines land at the output dtype's maximum on every stripe."""
         load = textured_loader(2, 2, 12, 12)
         gp = jittered_positions(2, 2, 9, 9, seed=7)
-        ref = compose(load, gp, (12, 12), blend, outline=True, dtype=np.float64)
-        got = compose(
-            load, gp, (12, 12), blend, outline=True, dtype=np.float64,
-            workers=3,
-        )
-        assert np.array_equal(ref, got)
-
-    def test_invalid_worker_count_rejected(self):
-        gp = jittered_positions(1, 1, 0, 0)
-        with pytest.raises(ValueError):
-            compose(lambda r, c: np.zeros((4, 4)), gp, (4, 4), workers=0)
+        for dtype in (np.uint8, np.uint16):
+            top = float(np.iinfo(dtype).max)
+            ref = compose(load, gp, (12, 12), blend, outline=True,
+                          outline_value=top, dtype=np.float64)
+            got, _ = streamed(load, gp, (12, 12), blend, band_rows=5,
+                              dtype=dtype, outline=True)
+            assert got.dtype == dtype
+            assert np.array_equal(clipped(ref, dtype), got)
+            assert got[tuple(gp.positions[0, 0])] == top
 
 
 class TestPropertyIdentity:
@@ -139,16 +162,28 @@ class TestPropertyIdentity:
         cols=st.integers(1, 3),
         step_y=st.integers(3, 14),
         step_x=st.integers(3, 14),
-        workers=st.integers(2, 9),
+        band_rows=st.integers(1, 30),
         blend=st.sampled_from(BLENDS),
+        skip_first=st.booleans(),
+        fail_last=st.booleans(),
         seed=st.integers(0, 100),
     )
-    def test_random_layouts(self, rows, cols, step_y, step_x, workers, blend,
-                            seed):
+    def test_random_layouts(self, rows, cols, step_y, step_x, band_rows,
+                            blend, skip_first, fail_last, seed):
         """Any layout (including heavy overlap when step < tile size), any
-        stripe count, any blend: striped == sequential, bit for bit."""
-        load = textured_loader(rows, cols, 12, 12, seed=seed)
+        stripe height, any blend, with skipped tiles and load failures:
+        streamed == clipped whole canvas, bit for bit."""
+        base = textured_loader(rows, cols, 12, 12, seed=seed)
+
+        def load(r, c):
+            if fail_last and (r, c) == (rows - 1, cols - 1):
+                raise OSError("bad sector")
+            return base(r, c)
+
         gp = jittered_positions(rows, cols, step_y, step_x, seed=seed + 1)
-        ref = compose(load, gp, (12, 12), blend)
-        got = compose(load, gp, (12, 12), blend, workers=workers)
-        assert np.array_equal(ref, got)
+        skips = [(0, 0)] if skip_first else []
+        ref = compose(load, gp, (12, 12), blend, dtype=np.float64,
+                      skip_tiles=skips, on_tile_error="skip")
+        got, _ = streamed(load, gp, (12, 12), blend, band_rows,
+                          skip_tiles=skips, on_tile_error="skip")
+        assert np.array_equal(clipped(ref), got)

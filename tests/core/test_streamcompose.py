@@ -119,6 +119,31 @@ class TestBudgetedCompose:
         assert res.cache is None  # no budget, no cache
         assert res.memory_budget is None
 
+    @pytest.mark.parametrize("band_rows", [None, 5, 17])
+    def test_unbudgeted_decodes_each_tile_once(self, tmp_path, band_rows):
+        """Without a budget a tile is held until its last stripe, so tiles
+        straddling stripe boundaries are still decoded exactly once."""
+        loads = []
+        inner = make_tiles(5, 3)
+
+        def load(r, c):
+            loads.append((r, c))
+            return inner(r, c)
+
+        gp = grid_positions(5, 3, 24)  # 32 px tiles: rows overlap by 8
+        res = stream_compose_to_tiff(tmp_path / "m.tif", load, gp, (32, 32),
+                                     band_rows=band_rows)
+        straddling = {
+            (r, c) for r in range(5) for c in range(3)
+            if (24 * r) // res.band_rows != (24 * r + 31) // res.band_rows
+        }
+        assert straddling  # the geometry really splits tiles across stripes
+        assert sorted(loads) == sorted(set(loads))
+        assert len(loads) == 5 * 3
+        ref = compose(inner, gp, (32, 32), dtype=np.float64)
+        assert np.array_equal(read_tiff(tmp_path / "m.tif"),
+                              np.clip(ref, 0, 65535).astype(np.uint16))
+
     def test_metrics_and_tracer(self, tmp_path):
         metrics = MetricsRegistry()
         tracer = Tracer()

@@ -17,7 +17,6 @@ import repro
 from repro.analysis.metrics import displacement_agreement
 from repro.core.stitcher import Stitcher
 from repro.impls import ProcCpu
-from repro.memmodel.shm import SHM_NAME_PREFIX, leaked_segments
 from repro.recovery.harness import (
     run_until_killed,
     stitch_argv,
@@ -26,6 +25,17 @@ from repro.recovery.harness import (
 from repro.recovery.journal import checkpoint_journal_path
 
 SRC_DIR = Path(repro.__file__).resolve().parents[1]
+
+#: Name prefix of every shared-memory segment this project ever created.
+SHM_NAME_PREFIX = "repro-shm"
+
+
+def leaked_segments(prefix: str) -> list[str]:
+    """Live ``/dev/shm`` segments whose names start with ``prefix``."""
+    dev_shm = Path("/dev/shm")
+    if not dev_shm.is_dir():  # pragma: no cover - non-Linux
+        return []
+    return sorted(p.name for p in dev_shm.iterdir() if p.name.startswith(prefix))
 
 
 class TestConstruction:

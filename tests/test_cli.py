@@ -83,6 +83,72 @@ class TestStitch:
         assert main(["stitch", str(dataset_dir), "-o", str(out), "--outline"]) == 0
 
 
+class TestOneOutputMeaning:
+    """Every ``-o`` path writes the same mosaic bytes: one compose engine,
+    one quantization (identity, then clip to uint16)."""
+
+    @pytest.fixture(scope="class")
+    def dataset_dir(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("one-output")
+        main(["synth", str(root / "ds"), "--rows", "3", "--cols", "4",
+              "--tile-size", "48", "--overlap", "0.25", "--seed", "5"])
+        return root / "ds"
+
+    @pytest.mark.parametrize("outline", [False, True])
+    @pytest.mark.parametrize("blend", ["overlay", "linear"])
+    def test_default_budget_and_pyramid_bytes_identical(
+        self, dataset_dir, tmp_path, capsys, blend, outline
+    ):
+        base = ["stitch", str(dataset_dir), "--blend", blend]
+        if outline:
+            base.append("--outline")
+        variants = {
+            "default": [],
+            "budget-8M": ["--memory-budget", "8M"],
+            # Small enough that every tile straddles several stripes.
+            "budget-64K": ["--memory-budget", "64K"],
+            "pyramid": ["--pyramid", "1"],
+        }
+        mosaics = {}
+        for name, extra in variants.items():
+            out = tmp_path / f"{name}.tif"
+            assert main([*base, "-o", str(out), *extra]) == 0
+            mosaics[name] = out.read_bytes()
+        assert "streamed" in capsys.readouterr().out
+        for name, data in mosaics.items():
+            assert data == mosaics["default"], name
+        if outline:
+            from repro.io.tiff import read_tiff
+
+            # Every one of the 12 tile borders is drawn at the uint16 max.
+            top = read_tiff(tmp_path / "default.tif") == 65535
+            assert top.sum() >= 12 * (4 * 48 - 4) // 2
+
+    def test_default_is_clipped_compose(self, dataset_dir, tmp_path):
+        """No max-normalization: tile values pass through unchanged."""
+        from repro.core.compose import BlendMode
+        from repro.core.stitcher import Stitcher
+        from repro.io.dataset import TileDataset
+        from repro.io.tiff import read_tiff
+
+        out = tmp_path / "m.tif"
+        assert main(["stitch", str(dataset_dir), "-o", str(out),
+                     "--blend", "linear"]) == 0
+        res = Stitcher().stitch(TileDataset(dataset_dir))
+        ref = res.compose(BlendMode.LINEAR, dtype=np.float64)
+        expected = np.clip(ref, 0, 65535).astype(np.uint16)
+        assert np.array_equal(read_tiff(out), expected)
+
+    def test_default_trace_has_compose_stripes(self, dataset_dir, tmp_path):
+        trace = tmp_path / "t.json"
+        assert main(["stitch", str(dataset_dir), "-o", str(tmp_path / "m.tif"),
+                     "--trace", str(trace)]) == 0
+        events = json.loads(trace.read_text())
+        stripes = [e for e in events
+                   if e["ph"] == "X" and e["name"] == "compose.stripe"]
+        assert stripes
+
+
 class TestInfo:
     def test_dataset_info(self, tmp_path, capsys):
         main(["synth", str(tmp_path / "ds"), "--rows", "2", "--cols", "2",
