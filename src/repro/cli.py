@@ -22,8 +22,6 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 
 def _write_atomic(path: Path, text: str) -> None:
     """Write ``text`` to ``path`` via a same-directory temp + rename.
@@ -56,6 +54,15 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 #: ``--backend`` shorthand -> Table II implementation.
 _BACKEND_IMPLS = {"seq": "simple-cpu", "thread": "mt-cpu", "proc": "proc-cpu"}
+
+#: ``--impl`` and ``--blend`` choices, spelled out so that building the
+#: parser imports no numpy.  They equal ``repro.impls.ALL_IMPLEMENTATIONS``
+#: and the ``BlendMode`` values (tests/test_cli.py checks both).
+_IMPL_NAMES = (
+    "fiji-baseline", "mt-cpu", "pipelined-cpu", "pipelined-cpu-numa",
+    "pipelined-gpu", "proc-cpu", "simple-cpu", "simple-gpu",
+)
+_BLEND_NAMES = ("overlay", "average", "maximum", "linear")
 
 
 def _workers_arg(value: str) -> int:
@@ -232,6 +239,8 @@ def _cmd_stitch(args: argparse.Namespace) -> int:
         print(f"fault report JSON -> {args.fault_report}")
     errors = result.position_errors(exclude_degraded=True)
     if errors is not None:
+        import numpy as np
+
         print(f"position error vs ground truth: max {np.nanmax(errors):.1f} px")
     if args.output:
         # One compose engine: --memory-budget and --pyramid only bound the
@@ -385,9 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("stitch", help="stitch a dataset directory")
     s.add_argument("dataset", type=Path)
     s.add_argument("-o", "--output", type=Path, help="mosaic TIFF path")
-    s.add_argument("--blend", choices=[m.value for m in __import__(
-        "repro.core.compose", fromlist=["BlendMode"]).BlendMode],
-        default="overlay")
+    s.add_argument("--blend", choices=_BLEND_NAMES, default="overlay")
     s.add_argument("--outline", action="store_true", help="highlight tiles (Fig. 14)")
     s.add_argument("--peaks", type=int, default=2)
     s.add_argument("--paper-faithful", action="store_true",
@@ -444,9 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="estimate", help="FFTW-style planning rigor")
     s.add_argument("--wisdom", type=Path,
                    help="planning-wisdom file (loaded if present, saved after)")
-    from repro.impls import ALL_IMPLEMENTATIONS as _IMPLS
-
-    s.add_argument("--impl", choices=["stitcher", *sorted(_IMPLS)],
+    s.add_argument("--impl", choices=["stitcher", *_IMPL_NAMES],
                    default="stitcher",
                    help="phase-1 scheduler: the default (band processes, "
                         "or the sequential reference at --workers 1) or a "

@@ -42,12 +42,11 @@ in ``GlobalPositions.degraded``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from operator import itemgetter
 
-import networkx as nx
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from repro.core.displacement import DisplacementResult, Translation
 from repro.core.quality_gate import (
@@ -138,10 +137,91 @@ def _nominal_prior_translation(
     )
 
 
+class _Graph:
+    """The undirected graph phase 2 needs, iterated as networkx 3.x does.
+
+    Spanning trees break ties between equal weights by visit order, so
+    every order here is the one ``networkx.Graph`` produces: nodes and
+    each node's neighbours in insertion order, :meth:`edges` from each
+    node to the neighbours not visited before it, components in
+    first-node order.  Positions are then bit-identical to those solved
+    over ``networkx.minimum_spanning_tree``.
+    """
+
+    def __init__(self) -> None:
+        self.adj: dict = {}
+
+    def add_node(self, n) -> None:
+        self.adj.setdefault(n, {})
+
+    def add_edge(self, u, v, **attr) -> None:
+        self.add_node(u)
+        self.add_node(v)
+        self.adj[u][v] = self.adj[v][u] = attr
+
+    def edges(self, data: bool = False):
+        seen: set = set()
+        for u, nbrs in self.adj.items():
+            for v, d in nbrs.items():
+                if v not in seen:
+                    yield (u, v, d) if data else (u, v)
+            seen.add(u)
+
+    def component(self, source) -> set:
+        """The nodes reachable from ``source``, collected breadth-first."""
+        seen = {source}
+        level = [source]
+        while level:
+            nxt = []
+            for u in level:
+                for v in self.adj[u]:
+                    if v not in seen:
+                        seen.add(v)
+                        nxt.append(v)
+            level = nxt
+        return seen
+
+    def connected_components(self):
+        seen: set = set()
+        for n in self.adj:
+            if n not in seen:
+                comp = self.component(n)
+                seen.update(comp)
+                yield comp
+
+    def minimum_spanning_tree(self) -> "_Graph":
+        """Kruskal over the edges in :meth:`edges` order, stably sorted
+        by ``weight``; the tree gets every node and its edges in the
+        order they were accepted."""
+        edges = []
+        for u, v, d in self.edges(data=True):
+            if math.isnan(d["weight"]):
+                raise ValueError(f"NaN found as an edge weight. Edge {(u, v, d)}")
+            edges.append((d["weight"], u, v, d))
+        edges.sort(key=itemgetter(0))
+        tree = _Graph()
+        parent = {}
+        for n in self.adj:
+            tree.add_node(n)
+            parent[n] = n
+
+        def root(n):
+            while parent[n] != n:
+                parent[n] = n = parent[parent[n]]
+            return n
+
+        for _, u, v, d in edges:
+            ru, rv = root(u), root(v)
+            if ru != rv:
+                parent[ru] = rv
+                tree.add_edge(u, v, **d)
+        return tree
+
+
 def _build_graph(
     disp: DisplacementResult,
     assessment: QualityAssessment | None = None,
-) -> "nx.Graph":
+) -> _Graph:
     """The displacement graph with confidence-derived MST weights.
 
     The maximum-confidence spanning tree is the minimum of
@@ -156,7 +236,7 @@ def _build_graph(
     one (connectivity) places the tile on the stage grid instead of at
     the garbage measurement.
     """
-    g = nx.Graph()
+    g = _Graph()
     for u, v, t, direction in _edges(disp):
         confidence = finite_correlation(t.correlation)
         weight = 1.0 - confidence
@@ -223,13 +303,14 @@ def _mst_positions(
     assessment: QualityAssessment | None = None,
 ) -> GlobalPositions:
     g = _build_graph(disp, assessment)
-    connected = disp.rows * disp.cols <= 1 or nx.is_connected(g)
+    components = list(g.connected_components())
+    connected = len(components) == 1
     if not connected and on_disconnected != "nominal":
         raise ValueError("displacement graph is disconnected; cannot stitch")
     step = None
     if not connected:
         step = estimate_nominal_step(disp, nominal_step)
-    tree = nx.minimum_spanning_tree(g, weight="weight")
+    tree = g.minimum_spanning_tree()
     pos = np.zeros((disp.rows, disp.cols, 2), dtype=np.float64)
     degraded = np.zeros((disp.rows, disp.cols), dtype=bool)
     seen: set = set()
@@ -239,7 +320,7 @@ def _mst_positions(
     # at its smallest (row, col) member, anchored on the nominal grid.
     roots = [(0, 0)]
     if not connected:
-        for comp in nx.connected_components(g):
+        for comp in components:
             if (0, 0) not in comp:
                 roots.append(min(comp))
     for root in roots:
@@ -253,11 +334,10 @@ def _mst_positions(
         stack = [root]
         while stack:
             u = stack.pop()
-            for v in tree.neighbors(u):
+            for v, data in tree.adj[u].items():
                 if v in seen:
                     continue
                 seen.add(v)
-                data = tree.edges[u, v]
                 t = data["translation"]
                 fu, fv = data["forward"]
                 sign = 1.0 if (fu, fv) == (u, v) else -1.0
@@ -314,14 +394,14 @@ def _least_squares_positions(
     def idx(rc) -> int:
         return rc[0] * disp.cols + rc[1]
 
-    g = _build_graph(disp, assessment)
-    connected = n <= 1 or nx.is_connected(g)
+    components = list(_build_graph(disp, assessment).connected_components())
+    connected = len(components) == 1
     if not connected and on_disconnected != "nominal":
         raise ValueError("displacement graph is disconnected; cannot stitch")
     degraded = np.zeros((disp.rows, disp.cols), dtype=bool)
     off_anchor: list[tuple[int, int]] = []
     if not connected:
-        for comp in nx.connected_components(g):
+        for comp in components:
             if (0, 0) not in comp:
                 off_anchor.extend(comp)
         for rc in off_anchor:
@@ -388,6 +468,11 @@ def _least_squares_positions(
         extra_bx.append(1e-6 * nominal[1])
 
     def solve(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        # Only this solver needs scipy.sparse; a default MST stitch
+        # never pays its import.
+        import scipy.sparse as sp
+        import scipy.sparse.linalg as spla
+
         rows_a: list[int] = []
         cols_a: list[int] = []
         vals: list[float] = []

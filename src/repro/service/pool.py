@@ -33,6 +33,7 @@ is thread-safe.
 
 from __future__ import annotations
 
+import importlib
 import json
 import multiprocessing as mp
 import os
@@ -61,6 +62,11 @@ from repro.service.resilience import (
 DEFAULT_WATCHDOG = WatchdogConfig(
     item_deadline=None, stall_timeout=120.0, poll_interval=0.05
 )
+
+#: What a job runs.  :meth:`WorkerPool.start` imports it before the first
+#: fork, so every worker -- respawned ones too -- inherits it warm.
+STITCH_STACK = ("repro.core.stitcher", "repro.core.streamcompose",
+                "repro.io.dataset")
 
 
 # -- worker process side -----------------------------------------------------
@@ -412,6 +418,8 @@ class WorkerPool:
             raise RuntimeError("pool already started")
         self._started = True
         self.spool_dir.mkdir(parents=True, exist_ok=True)
+        for module in STITCH_STACK:
+            importlib.import_module(module)
         for i in range(self.workers):
             self._handles[i] = _WorkerHandle(self._ctx, i)
             t = threading.Thread(

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.core import global_opt
 from repro.core.displacement import DisplacementResult, Translation
-from repro.core.global_opt import _build_graph, resolve_absolute_positions
+from repro.core.global_opt import _build_graph, _Graph, resolve_absolute_positions
 from repro.core.quality_gate import QualityConfig
 
 
@@ -275,3 +276,165 @@ class TestQualityGatedSolve:
         # The demoted edge places the tile on the stage model's step, not
         # at the garbage measurement.
         assert np.abs(gp.positions).max() < 200
+
+
+# -- differential against networkx --------------------------------------------
+#
+# Phase 2 once ran on networkx; its spanning trees break ties between equal
+# weights by iteration order, so ``_Graph`` must reproduce every order
+# networkx 3.x produces.  The reference below solves through the calls the
+# solver made before: ``nx.Graph``, ``nx.is_connected``,
+# ``nx.minimum_spanning_tree`` and ``nx.connected_components``.
+
+
+@pytest.fixture
+def nx():
+    return pytest.importorskip("networkx")
+
+
+def _nx_graph_class(nx):
+    class NxGraph(nx.Graph):
+        def connected_components(self):
+            return nx.connected_components(self)
+
+        def minimum_spanning_tree(self):
+            return nx.minimum_spanning_tree(self, weight="weight")
+
+    return NxGraph
+
+
+def _random_graph(rng):
+    """Grid-ish graph on (r, c) nodes in a shuffled insertion order."""
+    nodes = [(int(r), int(c)) for r, c in rng.integers(0, 5, size=(12, 2))]
+    weights = [0.0, 0.5, 1.0, 2.5, float("inf"), float("-inf")]
+    edges = []
+    for _ in range(int(rng.integers(0, 25))):
+        u, v = (nodes[i] for i in rng.integers(0, len(nodes), size=2))
+        w = (weights[int(rng.integers(len(weights)))]
+             if rng.random() < 0.6 else float(rng.uniform(-1, 3)))
+        edges.append((u, v, w))
+    return nodes, edges
+
+
+@pytest.mark.parametrize("seed", range(200))
+def test_graph_orders_match_networkx(nx, seed):
+    rng = np.random.default_rng(seed)
+    nodes, edges = _random_graph(rng)
+    if seed % 10 == 0:
+        edges.append((nodes[0], nodes[1], float("nan")))
+    ours, ref = _Graph(), nx.Graph()
+    for u, v, w in edges:
+        ours.add_edge(u, v, weight=w, tag=(u, v))
+        ref.add_edge(u, v, weight=w, tag=(u, v))
+    for n in nodes:
+        ours.add_node(n)
+        ref.add_node(n)
+    assert list(ours.edges(data=True)) == list(ref.edges(data=True))
+    assert list(ours.adj) == list(ref.adj)
+    assert [list(c) for c in ours.connected_components()] == [
+        list(c) for c in nx.connected_components(ref)
+    ]
+    if any(np.isnan(w) for _, _, w in edges):
+        with pytest.raises(ValueError, match="NaN found as an edge weight"):
+            ours.minimum_spanning_tree()
+        with pytest.raises(ValueError, match="NaN found as an edge weight"):
+            nx.minimum_spanning_tree(ref)
+        return
+    tree, ref_tree = ours.minimum_spanning_tree(), nx.minimum_spanning_tree(ref)
+    assert list(tree.adj) == list(ref_tree.adj)
+    for n in tree.adj:
+        assert list(tree.adj[n].items()) == list(ref_tree.adj[n].items())
+
+
+def _random_grid(seed):
+    """A seeded phase-1 result: 1xN/Nx1/general shapes, tied, non-finite
+    and wild correlations, dropped pairs, optional sub-pixel estimates."""
+    rng = np.random.default_rng(seed)
+    shape = seed % 4
+    if shape == 0:
+        rows, cols = 1, int(rng.integers(2, 8))
+    elif shape == 1:
+        rows, cols = int(rng.integers(2, 8)), 1
+    else:
+        rows, cols = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+    tied = rng.random() < 0.5
+    subpixel = rng.random() < 0.3
+    p_missing = (0.0, 0.15, 0.4)[int(rng.integers(3))]
+    disp = DisplacementResult.empty(rows, cols)
+    for r in range(rows):
+        for c in range(cols):
+            for grid, ok, (sy, sx) in ((disp.west, c > 0, (0, 50)),
+                                       (disp.north, r > 0, (50, 0))):
+                if not ok or rng.random() < p_missing:
+                    continue
+                roll = rng.random()
+                if roll < 0.05:
+                    corr = float("nan")
+                elif roll < 0.08:
+                    corr = float("inf")
+                elif roll < 0.11:
+                    corr = float("-inf")
+                elif tied:
+                    corr = float(rng.choice([0.2, 0.5, 0.9, 1.0]))
+                else:
+                    corr = float(rng.uniform(-1, 1))
+                jy, jx = rng.integers(-3, 4, size=2)
+                if rng.random() < 0.08:  # a wild measurement
+                    jy, jx = rng.integers(-200, 200, size=2)
+                ty, tx = int(sy + jy), int(sx + jx)
+                fy = fx = None
+                if subpixel:
+                    fy, fx = (float(v) for v in (ty, tx) + rng.uniform(-0.5, 0.5, 2))
+                grid[r][c] = Translation(corr, tx, ty, tx_f=fx, ty_f=fy,
+                                         peak_ratio=float(rng.uniform(0.5, 4)))
+    kwargs = {"subpixel": subpixel}
+    if rng.random() < 0.5:
+        kwargs["on_disconnected"] = "nominal"
+        kwargs["nominal_step"] = ((0.0, 50.0), (50.0, 0.0))
+    if rng.random() < 0.4:
+        kwargs["quality"] = QualityConfig(
+            min_peak_ratio=float(rng.choice([1.0, 1.5])),
+            residue_mode=str(rng.choice(["none", "huber", "threshold"])),
+        )
+    return disp, kwargs
+
+
+def _solve(disp, method, kwargs):
+    try:
+        return resolve_absolute_positions(disp, method, **kwargs)
+    except ValueError as exc:
+        return exc
+
+
+def _same_array(a, b):
+    return (a is None and b is None) or (
+        a is not None and b is not None and a.dtype == b.dtype
+        and np.array_equal(a, b, equal_nan=a.dtype.kind == "f")
+    )
+
+
+@pytest.mark.parametrize("chunk", range(8))
+def test_solutions_match_networkx(nx, monkeypatch, chunk):
+    """480 seeded grids: ``mst`` is bit-identical to the networkx solve in
+    every field; ``least_squares`` in connectivity and degraded handling
+    (and, the system rows being built in the same order, in positions)."""
+    nx_graph = _nx_graph_class(nx)
+    for seed in range(chunk * 60, chunk * 60 + 60):
+        disp, kwargs = _random_grid(seed)
+        for method in ("mst", "least_squares"):
+            got = _solve(disp, method, kwargs)
+            with monkeypatch.context() as m:
+                m.setattr(global_opt, "_Graph", nx_graph)
+                want = _solve(disp, method, kwargs)
+            where = f"seed {seed}, {method}, {kwargs}"
+            if isinstance(want, ValueError):
+                assert isinstance(got, ValueError), where
+                assert str(got) == str(want), where
+                continue
+            assert not isinstance(got, ValueError), f"{where}: {got}"
+            assert _same_array(got.degraded, want.degraded), where
+            assert _same_array(got.positions, want.positions), where
+            assert _same_array(got.positions_f, want.positions_f), where
+            assert repr(got.quality_report) == repr(want.quality_report), where
+            assert (repr(got.spanning_tree_correlation)
+                    == repr(want.spanning_tree_correlation)), where

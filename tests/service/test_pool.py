@@ -285,3 +285,43 @@ class TestSingleProcessJobs:
         rec = harness.settle(harness.submit(dataset=str(ds.directory)))
         assert rec.state is JobState.DONE
         assert rec.result["process_workers"] == 0
+
+
+class TestWarmStart:
+    def test_pool_imports_stitch_stack_before_forking(self, tmp_path):
+        """``import repro`` is lazy, so the server imports the stitch stack
+        itself before the first fork: its workers inherit it and no job
+        pays for it."""
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+        from repro.recovery.harness import subprocess_env
+
+        code = f"""
+import json, sys
+from repro.service.pool import STITCH_STACK
+from repro.service.server import StitchService
+service = StitchService(spool_dir={str(tmp_path / "spool")!r}, workers=1)
+before = [m for m in STITCH_STACK if m in sys.modules]
+service.start()
+after = [m for m in STITCH_STACK if m in sys.modules]
+method = service.pool._ctx.get_start_method()
+alive = [w["alive"] for w in service.pool.worker_stats()]
+service.stop()
+print(json.dumps([before, after, method, alive]))
+"""
+        src = Path(repro.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env=subprocess_env(src), timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        before, after, method, alive = json.loads(proc.stdout.splitlines()[-1])
+        assert before == []
+        assert after == [
+            "repro.core.stitcher", "repro.core.streamcompose", "repro.io.dataset",
+        ]
+        assert method == "fork"
+        assert alive == [True]

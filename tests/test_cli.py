@@ -186,6 +186,17 @@ def test_no_command_errors():
         main([])
 
 
+def test_spelled_out_choices_match_the_code():
+    """``--impl``/``--blend`` choices are literals so that building the
+    parser imports no numpy; they must name what the code provides."""
+    from repro.cli import _BLEND_NAMES, _IMPL_NAMES
+    from repro.core.streamcompose import BlendMode
+    from repro.impls import ALL_IMPLEMENTATIONS
+
+    assert _IMPL_NAMES == tuple(sorted(ALL_IMPLEMENTATIONS))
+    assert _BLEND_NAMES == tuple(m.value for m in BlendMode)
+
+
 class TestWisdom:
     def test_wisdom_saved_and_reused(self, tmp_path, capsys):
         main(["synth", str(tmp_path / "ds"), "--rows", "2", "--cols", "2",
